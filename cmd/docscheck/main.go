@@ -4,11 +4,12 @@
 //   - a markdown file contains an intra-repo link whose target does not
 //     exist (links into DESIGN.md and between the top-level docs are load
 //     bearing: several packages cite DESIGN.md sections from godoc),
-//   - an internal package has no package-level godoc comment,
+//   - an internal package has no package-level godoc comment, or
 //   - a directory under examples/ is missing from README.md's example
-//     table (every runnable walkthrough must stay discoverable), or
-//   - a scenario.Params field has no provenance entry in DESIGN.md §5
-//     (every calibrated default must say where its number comes from).
+//     table (every runnable walkthrough must stay discoverable).
+//
+// (The DESIGN.md §5 provenance rule for scenario.Params lives in pamlint's
+// provenance analyzer, in the lint job.)
 //
 // External links (http/https/mailto) and pure-anchor links are not checked.
 // CI runs it as the docs job; run it locally with `go run ./cmd/docscheck`.
@@ -23,8 +24,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-
-	"repro/internal/analysis"
 )
 
 // linkRE matches markdown link targets: [text](target). Reference-style
@@ -37,7 +36,6 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(".")...)
 	problems = append(problems, checkPackageDocs("./internal")...)
 	problems = append(problems, checkExamplesIndexed("examples", "README.md")...)
-	problems = append(problems, checkParamsProvenance("internal/scenario/scenario.go", "DESIGN.md")...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -46,7 +44,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, package godoc, example table and §5 provenance OK")
+	fmt.Println("docscheck: markdown links, package godoc and example table OK")
 }
 
 // checkMarkdownLinks verifies every relative link target in every tracked
@@ -118,34 +116,6 @@ func checkExamplesIndexed(examplesDir, readme string) []string {
 		}
 	}
 	return problems
-}
-
-// checkParamsProvenance verifies every field of scenario.Params has a
-// provenance entry in DESIGN.md's §5 calibration section: each field name
-// must appear backtick-quoted (`FieldName`) between the "## §5" heading and
-// the next top-level heading. A calibrated default without provenance is
-// how magic numbers rot. The rule's mechanics live in internal/analysis
-// (shared with pamlint's provenance analyzer) so the docs job and the lint
-// job cannot drift apart.
-func checkParamsProvenance(scenarioFile, designFile string) []string {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, scenarioFile, nil, 0)
-	if err != nil {
-		return []string{fmt.Sprintf("parsing %s: %v", scenarioFile, err)}
-	}
-	fields := analysis.ParamsFieldNames(f)
-	if len(fields) == 0 {
-		return []string{fmt.Sprintf("%s: no exported scenario.Params fields found", scenarioFile)}
-	}
-	data, err := os.ReadFile(designFile)
-	if err != nil {
-		return []string{fmt.Sprintf("reading %s: %v", designFile, err)}
-	}
-	section, ok := analysis.ProvenanceSection(data)
-	if !ok {
-		return []string{fmt.Sprintf("%s: no \"## §5\" calibration section", designFile)}
-	}
-	return analysis.MissingProvenance(section, fields, designFile)
 }
 
 // checkPackageDocs verifies each package directory under root has a

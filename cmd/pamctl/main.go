@@ -1,5 +1,5 @@
-// Command pamctl regenerates the paper's tables and figures and inspects
-// PAM decisions.
+// Command pamctl regenerates the paper's tables and figures, inspects PAM
+// decisions, and runs the canonical closed-loop episodes.
 //
 // Usage:
 //
@@ -15,129 +15,110 @@
 //	pamctl future-fpga          # §4 future work: FPGA SmartNIC profile
 //	pamctl multistep            # A4: sliding-border multi-migration
 //	pamctl plan                 # print the PAM plan for the Figure-1 chain
-//	pamctl live                 # closed loop: detect → select → migrate
-//	pamctl multi                # multi-tenant: N chains share one NIC+CPU
-//	pamctl crossing             # crossing storm: the DMA engine saturates
-//	pamctl stability            # stochastic hover: prove no ping-pong
-//	pamctl fleet                # two servers: escalate, migrate a tenant
+//	pamctl run <spec>           # a closed-loop episode: detect → select → migrate
 //
-// The live command runs the full control plane on the engine selected with
-// -engine: "chainsim" replays the hotspot scenario in deterministic virtual
-// time on the discrete-event simulator, "emul" runs it on wall-clock time
-// against the batched execution emulator, where overload is detected from
-// measured meter windows and the migration is a real UNO-style state move
-// (DESIGN.md §4).
-//
-// The multi command hosts several tenants' chains on one SmartNIC+CPU pair:
-// every chain is individually feasible, but the summed NIC utilization
-// overloads the device, and Multi-PAM pushes the globally cheapest border
-// vNF aside. With -engine chainsim the decision is evaluated on the fluid
-// model (deterministic, instant); with -engine emul the whole episode runs
-// live on the multi-chain emulator, with a real chain-scoped migration that
-// leaves background tenants forwarding undisturbed (DESIGN.md §4).
-//
-// The crossing command moves the hot spot onto the interconnect itself: a
-// split chain plus crossing-heavy tenants saturate the shared PCIe DMA
-// engine while both devices stay feasible, and the relief is a
-// crossing-reducing border migration. With -engine emul the episode runs on
-// the emulator's shared DMA-engine gate, detected from the measured
-// per-direction crossing demand (DESIGN.md §4).
-//
-// The fleet command (emul only) runs the two-server scale-out scenario:
-// one server's storm tenant overloads both of its devices at once — the
-// terminal case where no local push-aside helps — and the per-server loop
-// escalates to the fleet coordinator, which migrates the offending
-// tenant's whole chain to a calm server through the staged cross-server
-// handoff (freeze, reroute, drain, snapshot, restore, replay). The command
-// exits non-zero when the escalate → migrate → clear → recover arc breaks
-// (DESIGN.md §4).
-//
-// The stability command (emul only) runs the control-loop stability
-// harness: a seeded stochastic workload hovers around the overload
-// threshold, the loop runs Multi-PAM with the offload-reclaim policy, and
-// the command exits non-zero if any element ping-pongs between devices or
-// the detector never fires — the CI seed sweep (scripts/stabilityseeds.sh)
-// relies on that exit code (DESIGN.md §5).
+// The run command takes one of the named scenario specs (internal/scenario,
+// DESIGN.md §4): hotspot (the Figure-1 chain ramps into a SmartNIC hot
+// spot), multi (three tenants; only the summed NIC demand overloads),
+// crossing (the shared PCIe DMA engine saturates while both devices stay
+// feasible), stability (a stochastic load hovers at the threshold while the
+// reclaim policy tempts the loop to ping-pong) and fleet (both devices hot —
+// the loop escalates and a coordinator hands the tenant to a second
+// server). It prints the spec's narrative, then evaluates it on the engine
+// selected with -engine: "chainsim" walks the decision through the fluid
+// model (deterministic, instant: aggregate utilizations calm and at peak,
+// the Multi-PAM plan, utilizations after it); "emul" runs the whole episode
+// on wall-clock time against the batched execution emulator, where overload
+// is detected from measured meter windows and migrations are real
+// UNO-style state moves, and exits non-zero when the run does not trace the
+// arc the spec expects (scenario.Result.Check, the same check the e2e tests
+// call) — the CI seed sweep (scripts/stabilityseeds.sh) relies on that exit
+// code.
 //
 // Flags:
 //
 //	-csv       also print each table as CSV
 //	-probe     latency probe load in Gbps (default 0.8)
-//	-overload  overload offered load in Gbps (default 4.0)
+//	-overload  overload offered load in Gbps (default 4.0; with run, the
+//	           focus tenant's final phase, when given)
 //	-pcie      per-crossing PCIe latency (default 43µs)
-//	-engine    live-loop backend: chainsim or emul (default chainsim)
+//	-engine    run backend: chainsim or emul (default chainsim)
 //	-seed      seed for every randomized component (default 42)
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/emul"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
 func main() {
+	p := scenario.DefaultParams()
 	csv := flag.Bool("csv", false, "also print tables as CSV")
-	probe := flag.Float64("probe", 0, "latency probe load (Gbps)")
-	overload := flag.Float64("overload", 0, "overload offered load (Gbps)")
-	pcieLat := flag.Duration("pcie", 0, "per-crossing PCIe latency")
-	engine := flag.String("engine", "chainsim", "live-loop backend: chainsim or emul")
-	seed := flag.Int64("seed", 0, "seed for every randomized component")
+	probe := flag.Float64("probe", p.ProbeGbps, "latency probe load (Gbps)")
+	overload := flag.Float64("overload", p.OverloadGbps, "overload offered load (Gbps)")
+	pcieLat := flag.Duration("pcie", p.PCIeLatency, "per-crossing PCIe latency")
+	engine := flag.String("engine", "chainsim", "run backend: chainsim or emul")
+	seed := flag.Int64("seed", p.Seed, "seed for every randomized component")
 	flag.Parse()
 
-	p := scenario.DefaultParams()
-	if *probe > 0 {
-		p.ProbeGbps = *probe
-	}
-	if *overload > 0 {
-		p.OverloadGbps = *overload
-	}
-	if *pcieLat > 0 {
-		p.PCIeLatency = *pcieLat
-	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
+	// An override applies exactly when its flag was given — not when its
+	// value happens to differ from a default — so -seed 0 and an explicit
+	// -overload 4.0 mean what they say.
+	overloadSet := false
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "probe":
+			p.ProbeGbps = *probe
+		case "overload":
+			p.OverloadGbps, overloadSet = *overload, true
+		case "pcie":
+			p.PCIeLatency = *pcieLat
+		case "seed":
+			p.Seed = *seed
+		}
+	})
 
 	cmd := flag.Arg(0)
 	if cmd == "" {
 		cmd = "all"
 	}
 	var err error
-	switch cmd {
-	case "live":
-		err = runLive(*engine, p)
-	case "multi":
-		err = runMulti(*engine, p)
-	case "crossing":
-		err = runCrossing(*engine, p)
-	case "stability":
-		err = runStability(*engine, p)
-	case "fleet":
-		err = runFleet(*engine, p)
+	switch {
+	case p.ProbeGbps <= 0 || p.OverloadGbps <= 0 || p.PCIeLatency <= 0:
+		err = fmt.Errorf("-probe, -overload and -pcie must be positive")
+	case cmd == "run":
+		err = runSpec(*engine, flag.Arg(1), p, overloadSet)
 	default:
 		err = run(cmd, p, *csv)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pamctl: %v\n", err)
-		// The emulator's typed ambiguity error carries every chain hosting
-		// the element; turn it into an actionable hint instead of leaving
-		// the operator to guess which tenants collide.
-		var amb *emul.AmbiguousElementError
-		if errors.As(err, &amb) {
-			fmt.Fprintf(os.Stderr, "pamctl: element %q is hosted by %d chains (%s); give tenants unique element names, or migrate through the owning chain (emul.Runtime.MigrateChain)\n",
-				amb.Element, len(amb.Chains), strings.Join(amb.Chains, ", "))
-		}
 		os.Exit(1)
 	}
+}
+
+// artifacts maps a command to the experiment regenerating its artifact.
+var artifacts = map[string]func(scenario.Params) (experiments.Artifact, error){
+	"table1":   experiments.Table1,
+	"figure1":  experiments.Figure1,
+	"figure2a": experiments.Figure2a,
+	"figure2b": experiments.Figure2b,
+	"pcie": func(p scenario.Params) (experiments.Artifact, error) {
+		return experiments.PCIeMicrobench(p), nil
+	},
+	"ablation-pcie":  experiments.AblationPCIe,
+	"ablation-naive": experiments.AblationNaive,
+	"future-fpga":    experiments.FutureFPGA,
+	"multistep":      experiments.MultiStep,
 }
 
 func run(cmd string, p scenario.Params, csv bool) error {
@@ -159,33 +140,6 @@ func run(cmd string, p scenario.Params, csv bool) error {
 			fmt.Println()
 		}
 		fmt.Printf("(regenerated %d artifacts in %v)\n", len(arts), time.Since(start).Round(time.Millisecond))
-		return nil
-	case "table1":
-		a, err := experiments.Table1(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "figure1":
-		a, err := experiments.Figure1(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "figure2a":
-		a, err := experiments.Figure2a(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "figure2b":
-		a, err := experiments.Figure2b(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "pcie":
-		emit(experiments.PCIeMicrobench(p))
 	case "headline":
 		a, gap, err := experiments.Headline(p)
 		if err != nil {
@@ -193,30 +147,6 @@ func run(cmd string, p scenario.Params, csv bool) error {
 		}
 		emit(a)
 		fmt.Printf("PAM reduces average service-chain latency by %.1f%% vs naive (paper: 18%%)\n", gap*100)
-	case "ablation-pcie":
-		a, err := experiments.AblationPCIe(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "ablation-naive":
-		a, err := experiments.AblationNaive(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "future-fpga":
-		a, err := experiments.FutureFPGA(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
-	case "multistep":
-		a, err := experiments.MultiStep(p)
-		if err != nil {
-			return err
-		}
-		emit(a)
 	case "plan":
 		c := scenario.Figure1Chain()
 		v := scenario.View(c, p, device.Gbps(1/0.9125))
@@ -230,7 +160,20 @@ func run(cmd string, p scenario.Params, csv bool) error {
 			fmt.Printf("%-18s %v\n", sel.Name()+":", plan)
 		}
 	default:
-		return fmt.Errorf("unknown command %q (try: all, table1, figure1, figure2a, figure2b, pcie, headline, ablation-pcie, ablation-naive, future-fpga, multistep, plan, live, multi, crossing, stability, fleet)", cmd)
+		artifact, ok := artifacts[cmd]
+		if !ok {
+			names := []string{"all", "headline", "plan", "run <spec>"}
+			for name := range artifacts {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			return fmt.Errorf("unknown command %q (try: %s)", cmd, strings.Join(names, ", "))
+		}
+		a, err := artifact(p)
+		if err != nil {
+			return err
+		}
+		emit(a)
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func main() {
 	}
 	fmt.Println("PAM plan:", plan)
 	for _, step := range plan.Steps {
-		rep, err := rt.Migrate(step.Element, step.To)
+		rep, err := rt.MigrateChain(0, step.Element, step.To)
 		if err != nil {
 			log.Fatal(err)
 		}

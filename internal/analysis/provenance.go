@@ -7,14 +7,11 @@ package analysis
 // rot: PRs 4, 5 and 8 each re-derived scenario constants from the shared
 // gates' physics, and the §5 table is where those derivations live.
 //
-// The rule predates this analyzer (cmd/docscheck has enforced it since PR
-// 4); the mechanics now live here, shared by both binaries, so the docs job
-// and the lint job cannot drift apart. The analyzer fires on any package
-// named "scenario" declaring a struct type Params, and reads DESIGN.md from
-// the module root.
+// The analyzer fires on any package named "scenario" declaring a struct
+// type Params, and reads DESIGN.md from the module root. It is the rule's
+// only home: CI's lint job (cmd/pamlint) runs it.
 
 import (
-	"fmt"
 	"go/ast"
 	"os"
 	"path/filepath"
@@ -63,7 +60,7 @@ func runProvenance(pass *Pass) error {
 		pass.Reportf(params.Pos(), "scenario.Params declared but DESIGN.md is unreadable: %v", err)
 		return nil
 	}
-	section, ok := ProvenanceSection(design)
+	section, ok := provenanceSection(design)
 	if !ok {
 		pass.Reportf(params.Pos(), "DESIGN.md has no \"## §5\" calibration section for scenario.Params provenance")
 		return nil
@@ -76,10 +73,9 @@ func runProvenance(pass *Pass) error {
 	return nil
 }
 
-// ProvenanceSection extracts DESIGN.md's §5 calibration section: from the
-// "## §5" heading to the next top-level heading. Shared with cmd/docscheck
-// so the provenance rule lives in exactly one place.
-func ProvenanceSection(design []byte) (string, bool) {
+// provenanceSection extracts DESIGN.md's §5 calibration section: from the
+// "## §5" heading to the next top-level heading.
+func provenanceSection(design []byte) (string, bool) {
 	section := string(design)
 	i := strings.Index(section, "## §5")
 	if i < 0 {
@@ -90,43 +86,4 @@ func ProvenanceSection(design []byte) (string, bool) {
 		section = section[:5+j]
 	}
 	return section, true
-}
-
-// ParamsFieldNames returns the exported field names of a struct type named
-// Params declared in the file, for parser-only callers like docscheck.
-func ParamsFieldNames(f *ast.File) []string {
-	var fields []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok || ts.Name.Name != "Params" {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		for _, fld := range st.Fields.List {
-			for _, name := range fld.Names {
-				if name.IsExported() {
-					fields = append(fields, name.Name)
-				}
-			}
-		}
-		return false
-	})
-	return fields
-}
-
-// MissingProvenance returns one problem string per field with no
-// backtick-quoted mention in the §5 section — the docscheck-facing form of
-// the provenance rule.
-func MissingProvenance(section string, fields []string, designFile string) []string {
-	var problems []string
-	for _, name := range fields {
-		if !strings.Contains(section, "`"+name+"`") {
-			problems = append(problems, fmt.Sprintf(
-				"%s: scenario.Params field %q has no provenance entry in DESIGN.md §5", designFile, name))
-		}
-	}
-	return problems
 }

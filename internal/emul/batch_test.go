@@ -154,7 +154,7 @@ func TestShardedMigrationUnderLoad(t *testing.T) {
 		done <- sent
 	}()
 	time.Sleep(2 * time.Millisecond)
-	rep, err := r.Migrate(scenario.NameMonitor, device.KindCPU)
+	rep, err := r.MigrateChain(0, scenario.NameMonitor, device.KindCPU)
 	if err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}

@@ -1183,35 +1183,11 @@ func (el *element) doMigrate(to device.Kind) (migrate.Report, error) {
 	return rep, nil
 }
 
-// Migrate live-moves the named element to the device, searching every
-// hosted chain; the name must be unique across chains. When several chains
-// host the name it returns *AmbiguousElementError listing every one of
-// them, so the caller can disambiguate with MigrateChain. Loss-free: frames
-// arriving during the move wait in the element's rings (up to QueueDepth in
-// aggregate).
-func (r *Runtime) Migrate(name string, to device.Kind) (migrate.Report, error) {
-	var hosts []int
-	for ci, tc := range r.chains {
-		if tc.spec.Index(name) >= 0 {
-			hosts = append(hosts, ci)
-		}
-	}
-	switch len(hosts) {
-	case 0:
-		return migrate.Report{}, fmt.Errorf("emul: no element %q", name)
-	case 1:
-		return r.MigrateChain(hosts[0], name, to)
-	}
-	names := make([]string, len(hosts))
-	for i, ci := range hosts {
-		names[i] = r.chains[ci].name
-	}
-	return migrate.Report{}, &AmbiguousElementError{Element: name, Chains: names}
-}
-
 // MigrateChain live-moves the named element of the given chain to the
 // device, returning the migration report. Only the migrating element
-// freezes; other chains keep forwarding throughout the move.
+// freezes; other chains keep forwarding throughout the move. Loss-free:
+// frames arriving during the move wait in the element's rings (up to
+// QueueDepth in aggregate).
 func (r *Runtime) MigrateChain(ci int, name string, to device.Kind) (migrate.Report, error) {
 	// The read lock holds Close off for the duration: the pause rendezvous
 	// with the pool workers requires them alive, so the closed check and
@@ -1372,19 +1348,4 @@ func (r *Runtime) Results() Result {
 	}
 	agg.Latency = merged.Snapshot()
 	return agg
-}
-
-// AmbiguousElementError reports a Migrate-by-name call that matched an
-// element in several hosted chains; the caller must disambiguate with
-// MigrateChain. Chains lists the name of every hosting chain in chain-index
-// order, so surfaces like pamctl can print an actionable message.
-type AmbiguousElementError struct {
-	Element string
-	Chains  []string
-}
-
-// Error implements error.
-func (e *AmbiguousElementError) Error() string {
-	return fmt.Sprintf("emul: element %q exists in chains %q; use MigrateChain to disambiguate",
-		e.Element, e.Chains)
 }

@@ -112,7 +112,7 @@ func TestLiveMigrationKeepsState(t *testing.T) {
 		t.Fatal("monitor saw no flows before migration")
 	}
 
-	rep, err := r.Migrate(scenario.NameMonitor, device.KindCPU)
+	rep, err := r.MigrateChain(0, scenario.NameMonitor, device.KindCPU)
 	if err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 		done <- sent
 	}()
 	time.Sleep(2 * time.Millisecond)
-	if _, err := r.Migrate(scenario.NameLogger, device.KindCPU); err != nil {
+	if _, err := r.MigrateChain(0, scenario.NameLogger, device.KindCPU); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
 	sent := <-done
@@ -195,7 +195,7 @@ func TestMigrateUnknownElement(t *testing.T) {
 	r := newRuntime(t, 100)
 	r.Start()
 	defer r.Close()
-	if _, err := r.Migrate("nope", device.KindCPU); err == nil {
+	if _, err := r.MigrateChain(0, "nope", device.KindCPU); err == nil {
 		t.Error("unknown element accepted")
 	}
 }
@@ -204,7 +204,7 @@ func TestMigrateNoopSameDevice(t *testing.T) {
 	r := newRuntime(t, 100)
 	r.Start()
 	defer r.Close()
-	rep, err := r.Migrate(scenario.NameLB, device.KindCPU) // already there
+	rep, err := r.MigrateChain(0, scenario.NameLB, device.KindCPU) // already there
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package emul_test
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -285,63 +284,12 @@ func TestMultiChainAccountingAndAddressing(t *testing.T) {
 		t.Errorf("NFStats keys not chain-qualified: %v", stats)
 	}
 
-	// The duplicated element name must be addressed through its chain, and
-	// the typed error must name *every* hosting chain (the old scan stopped
-	// at the second match).
-	var amb *emul.AmbiguousElementError
-	if _, err := r.Migrate("mon0", device.KindCPU); err == nil {
-		t.Error("ambiguous Migrate accepted")
-	} else if !errors.As(err, &amb) {
-		t.Errorf("ambiguous Migrate returned %T, want *emul.AmbiguousElementError", err)
-	} else if amb.Element != "mon0" || len(amb.Chains) != 2 ||
-		amb.Chains[0] != "tenant-a" || amb.Chains[1] != "tenant-b" {
-		t.Errorf("AmbiguousElementError = %+v, want mon0 in [tenant-a tenant-b]", amb)
-	}
+	// A duplicated element name is addressed through its chain.
 	if _, err := r.MigrateChain(0, "mon0", device.KindCPU); err != nil {
 		t.Errorf("MigrateChain: %v", err)
 	}
 	if pl := r.Placements(); pl[0].At(0).Loc != device.KindCPU || pl[1].At(0).Loc != device.KindCPU {
 		t.Errorf("placements after chain-scoped migration: %v / %v", pl[0], pl[1])
-	}
-}
-
-// TestMigrateAmbiguityListsAllChains pins the duplicate-name scan to the
-// full host list: with three chains sharing an element name, the typed
-// error must report all three (the pre-fix scan bailed at the second).
-func TestMigrateAmbiguityListsAllChains(t *testing.T) {
-	mk := func(cn string) *chain.Chain {
-		c, err := chain.New(cn, chain.Element{Name: "dup0", Type: device.TypeMonitor, Loc: device.KindSmartNIC})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	r, err := emul.New(emul.Config{
-		Chains:  []*chain.Chain{mk("t-one"), mk("t-two"), mk("t-three")},
-		Catalog: device.Table1(),
-		Scale:   100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	defer r.Close()
-	var amb *emul.AmbiguousElementError
-	_, err = r.Migrate("dup0", device.KindCPU)
-	if !errors.As(err, &amb) {
-		t.Fatalf("Migrate returned %v (%T), want *emul.AmbiguousElementError", err, err)
-	}
-	want := []string{"t-one", "t-two", "t-three"}
-	if len(amb.Chains) != len(want) {
-		t.Fatalf("Chains = %v, want %v", amb.Chains, want)
-	}
-	for i, w := range want {
-		if amb.Chains[i] != w {
-			t.Errorf("Chains[%d] = %q, want %q", i, amb.Chains[i], w)
-		}
-	}
-	if amb.Error() == "" || amb.Element != "dup0" {
-		t.Errorf("error not actionable: %+v", amb)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestLoadSamplerAttributesMigrationWindowPerDevice(t *testing.T) {
 		r.Drain()
 	}
 	send(nNIC)
-	if _, err := r.Migrate("m0", device.KindCPU); err != nil {
+	if _, err := r.MigrateChain(0, "m0", device.KindCPU); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
 	send(nCPU)

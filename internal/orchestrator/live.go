@@ -104,9 +104,9 @@ func (o *Live) execute(plan core.MultiPlan) (time.Duration, error) {
 }
 
 // Poll closes the current sampling window and runs one control decision on
-// it. The background ticker calls it every Config.PollEvery; tests and
-// single-threaded drivers (scenario.RunLiveHotspot, RunLiveMultiTenant)
-// call it directly for deterministic window boundaries.
+// it. The background ticker calls it every Config.PollEvery; tests and the
+// single-threaded scenario driver (scenario.Run) call it directly for
+// deterministic window boundaries.
 func (o *Live) Poll() {
 	ls := o.sampler.Sample()
 	if ls.Window < time.Millisecond {

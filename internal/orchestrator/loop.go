@@ -623,8 +623,8 @@ func (l *loop) Detector() *telemetry.Detector { return l.detector }
 
 // Format renders the event as one log line, rounding timestamps to round
 // (0 keeps full precision). Every surface printing the event log — Describe,
-// pamctl live/multi, the hotspot and multi-tenant examples — goes through
-// it, so a new EventKind renders everywhere at once.
+// `pamctl run`, the e2e tests' diagnostics — goes through it, so a new
+// EventKind renders everywhere at once.
 func (e Event) Format(round time.Duration) string {
 	at := e.At
 	if round > 0 {

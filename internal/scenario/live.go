@@ -1,32 +1,24 @@
 package scenario
 
-// The live-hotspot scenario: the paper's closed loop run end to end on the
-// batched execution emulator instead of the discrete-event simulator. Real
-// frames ramp from a calm rate to LiveOverloadGbps; the shared per-device
-// capacity gate collapses delivered throughput to the Figure-1 NIC
-// residents' aggregate saturation while the control plane sees the
-// SmartNIC's measured *demand* climb past the threshold, PAM pushes a
-// border vNF aside via a real UNO-style migration, and delivery recovers
-// to the offered rate. The one runner backs the hotspot_mitigation
-// example, `pamctl -engine emul live`, and the -race control-loop tests,
-// so they all exercise an identical configuration (see DESIGN.md §4).
+// The live dataplane under every scenario spec: the calibrated emulator and
+// control-loop parameters (DESIGN.md §4), and the one emul.Config literal
+// every runtime — a spec's servers and the benchmark's Figure-1 runtime —
+// is built from.
 
 import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/emul"
-	"repro/internal/orchestrator"
 	"repro/internal/pcie"
 	"repro/internal/telemetry"
-	"repro/internal/traffic"
 )
 
 // LiveParams parameterizes the wall-clock closed loop. Rates everywhere are
 // in catalog (Table-1) units; Scale maps them onto what a development
-// machine can actually push.
+// machine can actually push. The defaults named below are
+// DefaultLiveParams' values; start from it.
 type LiveParams struct {
 	// Scale divides catalog rates (and multiplies measurements back) so the
 	// emulated devices saturate at development-machine rates. Default 1000.
@@ -39,44 +31,32 @@ type LiveParams struct {
 	// every co-resident element for tens of milliseconds per burst and blur
 	// the 25 ms sampling windows (DESIGN.md §4).
 	//
-	// The multi-tenant runtime builders raise Workers to the tenant count
-	// when it is smaller: the run-to-completion pool assigns a chain's
-	// elements to worker chainIdx%Workers, and a worker that blocks inside
-	// a saturated gate's FIFO carries every ring it owns with it. With one
-	// worker per chain the only cross-tenant coupling is the gate itself —
-	// exactly the physics the collapse assertions are calibrated against
-	// (DESIGN.md §5).
+	// A runtime hosting more chains than Workers gets one worker per chain:
+	// the run-to-completion pool assigns a chain's elements to worker
+	// chainIdx%Workers, and a worker that blocks inside a saturated gate's
+	// FIFO carries every ring it owns with it. With one worker per chain
+	// the only cross-tenant coupling is the gate itself — exactly the
+	// physics the collapse assertions are calibrated against (DESIGN.md §5).
 	BatchSize int
 	Workers   int
 	// QueueDepth bounds each element's input queue (default 128 — shallow
 	// enough that overload surfaces as loss within a few windows).
 	QueueDepth int
-	// FrameSize is the synthesized frame size in bytes (default 512).
+	// FrameSize is the synthesized frame size in bytes of a tenant that
+	// names none (default 512).
 	FrameSize int
-	// Flows spreads traffic across this many synthetic flows (default 32),
-	// exercising the flow-hash sharding of the dataplane.
+	// Flows spreads each tenant's traffic across this many synthetic flows
+	// (default 32), exercising the flow-hash sharding of the dataplane.
 	Flows int
 	// PollEvery is the control loop's sampling period (default 25 ms).
 	PollEvery time.Duration
-	// Detector tunes overload detection. The zero value uses Consecutive 3
-	// and Alpha 0.5: fast enough to catch a ramp within ~3 windows, smoothed
+	// Detector tunes overload detection. The default is Consecutive 3 and
+	// Alpha 0.5: fast enough to catch a ramp within ~3 windows, smoothed
 	// enough that the measured θcur at decision time is meaningful.
 	Detector telemetry.DetectorConfig
-	// MaxMigrations bounds executed plans (0 = unbounded).
-	MaxMigrations int
-	// Cooldown suppresses plans after a migration (default 2×PollEvery).
+	// Cooldown suppresses plans after a migration (0 selects the loop's
+	// 2×PollEvery).
 	Cooldown time.Duration
-	// Phases is the offered-load schedule in catalog Gbps. Nil selects the
-	// default hotspot ramp: calm at Params.ProbeGbps, then overload at
-	// LiveOverloadGbps (not Params.OverloadGbps: with the emulator's shared
-	// device gates the DES overload rate of 4 Gbps would demand-overload
-	// the CPU too, turning the episode into the paper's scale-out terminal
-	// case — see DESIGN.md §5).
-	Phases []traffic.Phase
-	// SleepPCIe makes the emulator really sleep PCIe crossings and state
-	// transfers. Off by default: at Scale ≫ 1 real microsecond sleeps would
-	// be out of proportion to the slowed-down dataplane.
-	SleepPCIe bool
 }
 
 // LiveOverloadGbps is the live hotspot schedule's overload rate (provenance
@@ -87,7 +67,10 @@ type LiveParams struct {
 // θC = 4 before the push, the LB+Logger's combined 1/(1/4+1/4) = 2 Gbps
 // after it. At 1.8 Gbps the NIC's measured demand reaches ≈1.4 while the
 // CPU stays ≤ 0.9 before and after the migration, so the episode detects,
-// relieves and settles cleanly.
+// relieves and settles cleanly. (Not Params.OverloadGbps: with the
+// emulator's shared device gates the DES overload rate of 4 Gbps would
+// demand-overload the CPU too, turning the episode into the paper's
+// scale-out terminal case.)
 const LiveOverloadGbps = 1.8
 
 // DefaultLiveParams returns the calibrated live-loop defaults (DESIGN.md §4).
@@ -104,159 +87,33 @@ func DefaultLiveParams() LiveParams {
 	}
 }
 
-func (lp LiveParams) withDefaults(p Params) LiveParams {
-	d := DefaultLiveParams()
-	if lp.Scale <= 0 {
-		lp.Scale = d.Scale
-	}
-	if lp.BatchSize <= 0 {
-		lp.BatchSize = d.BatchSize
-	}
-	if lp.Workers <= 0 {
-		lp.Workers = d.Workers
-	}
-	if lp.QueueDepth <= 0 {
-		lp.QueueDepth = d.QueueDepth
-	}
-	if lp.FrameSize <= 0 {
-		lp.FrameSize = d.FrameSize
-	}
-	if lp.Flows <= 0 {
-		lp.Flows = d.Flows
-	}
-	if lp.PollEvery <= 0 {
-		lp.PollEvery = d.PollEvery
-	}
-	if lp.Detector == (telemetry.DetectorConfig{}) {
-		lp.Detector = d.Detector
-	}
-	if lp.Phases == nil {
-		lp.Phases = []traffic.Phase{
-			{RateGbps: p.ProbeGbps, Duration: 300 * time.Millisecond},
-			{RateGbps: LiveOverloadGbps, Duration: 1200 * time.Millisecond},
-		}
-	}
-	return lp
-}
-
 // LiveRuntime builds the Figure-1 chain on the batched emulator under the
 // live parameters.
 func LiveRuntime(p Params, lp LiveParams) (*emul.Runtime, error) {
-	lp = lp.withDefaults(p)
+	return newRuntime(p, lp, []*chain.Chain{Figure1Chain()}, p.PCIeBandwidthGbps)
+}
+
+// newRuntime builds one emulated server hosting the chains. linkGbps is the
+// PCIe link's effective bandwidth — the shared DMA engine's budget.
+func newRuntime(p Params, lp LiveParams, chains []*chain.Chain, linkGbps float64) (*emul.Runtime, error) {
+	// One pool worker per tenant, so a worker parked in a saturated device
+	// or DMA gate's FIFO stalls only its own chain's rings and the measured
+	// squeeze is the gate's doing alone (see LiveParams.Workers).
+	if lp.Workers < len(chains) {
+		lp.Workers = len(chains)
+	}
 	return emul.New(emul.Config{
-		Chain:      Figure1Chain(),
+		Chains:     chains,
 		Catalog:    device.Table1(),
-		Link:       pcie.Link{PropDelay: p.PCIeLatency, BandwidthGbps: p.PCIeBandwidthGbps},
+		Link:       pcie.Link{PropDelay: p.PCIeLatency, BandwidthGbps: linkGbps},
 		Scale:      lp.Scale,
 		QueueDepth: lp.QueueDepth,
 		BatchSize:  lp.BatchSize,
 		Workers:    lp.Workers,
 		PoolFrames: true,
-		SleepPCIe:  lp.SleepPCIe,
+		// PCIe crossings and state transfers are charged, not slept: at
+		// Scale ≫ 1 real microsecond sleeps would be out of proportion to
+		// the slowed-down dataplane.
+		SleepPCIe: false,
 	})
-}
-
-// LiveHotspotResult is one closed-loop run's outcome.
-type LiveHotspotResult struct {
-	// Events is the control plane's log (migrations, skips, cooldowns).
-	Events []orchestrator.Event
-	// Samples is the measured telemetry timeline, one entry per poll.
-	Samples []emul.LoadSample
-	// Final is the runtime's end-of-run accounting.
-	Final emul.Result
-	// Placement is the chain after the run.
-	Placement *chain.Chain
-	// Migrations counts executed plans.
-	Migrations int
-	// PreGbps is the delivered throughput in the last full window before the
-	// first migration (the hot spot's ceiling); zero when nothing migrated.
-	PreGbps float64
-	// PostGbps is the mean delivered throughput over the final windows (the
-	// recovered ceiling under the same offered load for the default phases).
-	PostGbps float64
-	// Elapsed is the wall-clock duration of the run.
-	Elapsed time.Duration
-}
-
-// RunLiveHotspot drives the closed loop: it paces the phase schedule against
-// the wall clock into the emulator while polling the live control plane
-// every PollEvery (the shared paceAndPoll driver with a single tenant).
-func RunLiveHotspot(p Params, lp LiveParams, sel core.Selector) (*LiveHotspotResult, error) {
-	lp = lp.withDefaults(p)
-	rt, err := LiveRuntime(p, lp)
-	if err != nil {
-		return nil, err
-	}
-	rt.Start()
-	defer rt.Close()
-
-	live, err := orchestrator.NewLive(rt, orchestrator.Config{
-		PollEvery:     lp.PollEvery,
-		Selector:      sel,
-		Detector:      lp.Detector,
-		MaxMigrations: lp.MaxMigrations,
-		Cooldown:      lp.Cooldown,
-	}, View(Figure1Chain(), p, 0))
-	if err != nil {
-		return nil, err
-	}
-
-	// The single Figure-1 tenant, compiled by the shared drive builder (so
-	// the hotspot run paces exactly like the multi-tenant ones).
-	single := []Tenant{{Chain: Figure1Chain(), Phases: lp.Phases, FrameSize: lp.FrameSize, Flows: lp.Flows}}
-	drives, total, err := buildTenantDrives(p, lp, single, nil)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := paceAndPoll(rt, live, lp.PollEvery, drives, total)
-
-	res := &LiveHotspotResult{
-		Events:     live.Events(),
-		Samples:    live.Samples(),
-		Final:      rt.Results(),
-		Placement:  rt.Placement(),
-		Migrations: live.Migrations(),
-		Elapsed:    elapsed,
-	}
-	res.PreGbps, res.PostGbps = recovery(res.Events, res.Samples)
-	return res, nil
-}
-
-// recovery extracts the before/after delivered throughput around the first
-// migration: the last full window before it, and the mean of the final
-// quarter of windows after it (at most 4).
-func recovery(events []orchestrator.Event, samples []emul.LoadSample) (pre, post float64) {
-	var migAt time.Duration = -1
-	for _, e := range events {
-		if e.Kind == orchestrator.EventMigrated {
-			migAt = e.At
-			break
-		}
-	}
-	if migAt < 0 || len(samples) == 0 {
-		return 0, 0
-	}
-	for _, s := range samples {
-		if s.At < migAt {
-			pre = s.DeliveredGbps
-		}
-	}
-	tail := len(samples) / 4
-	if tail > 4 {
-		tail = 4
-	}
-	if tail < 1 {
-		tail = 1
-	}
-	n := 0
-	for _, s := range samples[len(samples)-tail:] {
-		if s.At > migAt {
-			post += s.DeliveredGbps
-			n++
-		}
-	}
-	if n > 0 {
-		post /= float64(n)
-	}
-	return pre, post
 }

@@ -1,8 +1,8 @@
 //go:build race
 
-package scenario
+package scenario_test
 
-// RaceInstrumented reports whether this binary was built with the race
+// raceInstrumented reports whether this test binary was built with the race
 // detector. The live closed-loop scenarios are wall-clock physics on
 // ~25 ms sampling windows; race instrumentation slows the dataplane's
 // compute by roughly an order of magnitude, which stretches windows and
@@ -12,4 +12,4 @@ package scenario
 // assertion — migrations, plans, placements, demand detection, relief —
 // while skipping only the fine-grained per-tenant throughput bounds that
 // the non-race run asserts precisely.
-const RaceInstrumented = true
+const raceInstrumented = true
