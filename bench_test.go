@@ -214,7 +214,7 @@ func BenchmarkDataplane(b *testing.B) {
 	for _, bs := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
 			rt, err := emul.New(emul.Config{
-				Chain:   scenario.Figure1Chain(),
+				Chains:  []*chain.Chain{scenario.Figure1Chain()},
 				Catalog: device.Table1(),
 				Link:    pcie.DefaultLink(),
 				// Scale 0.1 lifts the shared NIC budget (the Figure-1
@@ -243,7 +243,7 @@ func BenchmarkDataplane(b *testing.B) {
 				tmpl := tmpls[i%16]
 				f := rt.AcquireFrame(len(tmpl))
 				copy(f, tmpl)
-				for !rt.Send(f) {
+				for !rt.SendChain(0, f) {
 					runtime.Gosched() // ingress full: pipeline backpressure
 				}
 			}

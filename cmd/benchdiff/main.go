@@ -6,6 +6,14 @@
 //
 //	go run ./cmd/benchdiff -baseline BENCH.json -current bench_new.json
 //
+// The artifact itself comes from the same binary: -parse turns `go test
+// -bench` output on stdin into BENCH.json-format JSON on stdout (every
+// benchmark line one entry with the package it ran in, its iteration count
+// and a metrics map keyed by unit), so the perf trajectory can be compared
+// across commits without scraping logs:
+//
+//	go test -run xxx -bench=. -benchmem . | go run ./cmd/benchdiff -parse > bench_new.json
+//
 // Guarded metrics and their directions are fixed: frames/s, perchain_Gbps,
 // agg_Gbps, crossing_Gbps and fairness must not drop; allocs/op must not
 // rise (a zero-alloc baseline is a hard floor — any new allocation on a
@@ -49,12 +57,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-
-	"repro/internal/benchfmt"
 )
 
 // higherBetter metrics must not drop below baseline×(1−threshold).
@@ -95,8 +103,8 @@ func (p Problem) String() string {
 // control that makes a 10% ratchet workable on a shared runner: scheduler
 // noise only ever makes a run look slower, so comparing best against best
 // cancels it instead of ratcheting against one lucky (or unlucky) sample.
-func Fold(rep benchfmt.Report) benchfmt.Report {
-	var out benchfmt.Report
+func Fold(rep Report) Report {
+	var out Report
 	idx := make(map[string]int)
 	for _, e := range rep.Benchmarks {
 		i, seen := idx[e.Key()]
@@ -129,7 +137,7 @@ const allocStableSpread = 0.02
 // spreads computes each (benchmark, metric)'s relative run-to-run spread,
 // (max−min)/max, across the report's repeated samples. A single sample has
 // spread 0.
-func spreads(rep benchfmt.Report) map[string]float64 {
+func spreads(rep Report) map[string]float64 {
 	lo := map[string]float64{}
 	hi := map[string]float64{}
 	for _, e := range rep.Benchmarks {
@@ -159,11 +167,11 @@ func spreads(rep benchfmt.Report) map[string]float64 {
 // metric's band is threshold plus the larger of the baseline's observed
 // spread and minNoise (the cross-smoke regime floor); allocs/op uses the
 // raw spread both for its band and for its stability gate.
-func Diff(base, cur benchfmt.Report, threshold, minNoise float64) (problems []Problem, guarded int) {
+func Diff(base, cur Report, threshold, minNoise float64) (problems []Problem, guarded int) {
 	noise := spreads(base)
 	base, cur = Fold(base), Fold(cur)
-	byKey := make(map[string]benchfmt.Entry, len(cur.Benchmarks))
-	byName := make(map[string]benchfmt.Entry, len(cur.Benchmarks))
+	byKey := make(map[string]Entry, len(cur.Benchmarks))
+	byName := make(map[string]Entry, len(cur.Benchmarks))
 	for _, e := range cur.Benchmarks {
 		byKey[e.Key()] = e
 		byName[e.Name] = e
@@ -221,8 +229,8 @@ func Diff(base, cur benchfmt.Report, threshold, minNoise float64) (problems []Pr
 	return problems, guarded
 }
 
-func load(path string) (benchfmt.Report, error) {
-	var rep benchfmt.Report
+func load(path string) (Report, error) {
+	var rep Report
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return rep, err
@@ -233,12 +241,37 @@ func load(path string) (benchfmt.Report, error) {
 	return rep, nil
 }
 
+// parse is the -parse mode: bench output on r, the JSON artifact on w.
+func parse(r io.Reader, w io.Writer) error {
+	rep, err := Parse(r)
+	if err != nil {
+		return err
+	}
+	if len(rep.Benchmarks) == 0 {
+		return errors.New("no benchmark lines on stdin")
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
+}
+
 func main() {
+	parseMode := flag.Bool("parse", false, "turn `go test -bench` output on stdin into artifact JSON on stdout, then exit")
 	baseline := flag.String("baseline", "BENCH.json", "checked-in baseline artifact")
 	current := flag.String("current", "", "freshly generated artifact to compare (required)")
 	threshold := flag.Float64("threshold", 0.10, "allowed relative regression per guarded metric")
 	minNoise := flag.Float64("minnoise", 0.12, "floor on the per-metric noise band for throughput metrics (cross-smoke regime shifts)")
 	flag.Parse()
+	if *parseMode {
+		if err := parse(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: parse: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -current is required")
 		os.Exit(2)

@@ -3,16 +3,14 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/benchfmt"
 )
 
-func entry(pkg, name string, metrics map[string]float64) benchfmt.Entry {
-	return benchfmt.Entry{Name: name, Pkg: pkg, Iterations: 1, Metrics: metrics}
+func entry(pkg, name string, metrics map[string]float64) Entry {
+	return Entry{Name: name, Pkg: pkg, Iterations: 1, Metrics: metrics}
 }
 
-func report(es ...benchfmt.Entry) benchfmt.Report {
-	return benchfmt.Report{Benchmarks: es}
+func report(es ...Entry) Report {
+	return Report{Benchmarks: es}
 }
 
 func TestDiffPassesWithinThreshold(t *testing.T) {

@@ -1,10 +1,10 @@
-// Package benchfmt is the shared vocabulary of the perf-trajectory
-// tooling: the parsed form of `go test -bench` output (one Entry per
+package main
+
+// The artifact: the parsed form of `go test -bench` output (one Entry per
 // benchmark line, a Report per run) and the parser that extracts it.
-// cmd/benchjson serializes Reports into the BENCH.json artifact CI
-// uploads every run; cmd/benchdiff compares a fresh Report against the
-// checked-in baseline and fails the build on regression.
-package benchfmt
+// `benchdiff -parse` serializes a Report into the BENCH.json artifact CI
+// uploads every run; the diff compares a fresh Report against the
+// checked-in baseline.
 
 import (
 	"bufio"

@@ -1,8 +1,6 @@
-package benchfmt_test
+package main
 
 import (
-	"repro/internal/benchfmt"
-
 	"strings"
 	"testing"
 )
@@ -38,7 +36,7 @@ ok  	repro/internal/emul	12.597s
 `
 
 func TestParseExtractsMetrics(t *testing.T) {
-	rep, err := benchfmt.Parse(strings.NewReader(sampleBenchOutput))
+	rep, err := Parse(strings.NewReader(sampleBenchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +69,7 @@ func TestParseExtractsMetrics(t *testing.T) {
 // allocs/op) must come through as metrics — zeros included, since a
 // zero-alloc hot path is exactly the value a ratchet wants to guard.
 func TestParseTracksPackageContext(t *testing.T) {
-	rep, err := benchfmt.Parse(strings.NewReader(multiPkgBenchOutput))
+	rep, err := Parse(strings.NewReader(multiPkgBenchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +95,13 @@ func TestParseTracksPackageContext(t *testing.T) {
 		t.Errorf("-benchmem columns lost: %v", dp.Metrics)
 	}
 	// A bare-name entry (old artifact without pkg) keys by name alone.
-	if got := (benchfmt.Entry{Name: "BenchmarkX"}).Key(); got != "BenchmarkX" {
+	if got := (Entry{Name: "BenchmarkX"}).Key(); got != "BenchmarkX" {
 		t.Errorf("bare key = %q", got)
 	}
 }
 
 func TestParseIgnoresNonBenchLines(t *testing.T) {
-	rep, err := benchfmt.Parse(strings.NewReader("PASS\nok  \trepro\t1.2s\nrandom log line\n"))
+	rep, err := Parse(strings.NewReader("PASS\nok  \trepro\t1.2s\nrandom log line\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

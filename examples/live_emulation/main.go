@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/emul"
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	rt, err := emul.New(emul.Config{
-		Chain:      scenario.Figure1Chain(),
+		Chains:     []*chain.Chain{scenario.Figure1Chain()},
 		Catalog:    device.Table1(),
 		Link:       pcie.DefaultLink(),
 		Scale:      200, // Table-1 rates scaled down 200x for a dev machine
@@ -40,7 +41,7 @@ func main() {
 			tmpl := synth.Frame(uint64(i%32), 512)
 			frame := rt.AcquireFrame(len(tmpl)) // recycled at egress (PoolFrames)
 			copy(frame, tmpl)
-			rt.Send(frame)
+			rt.SendChain(0, frame)
 		}
 		rt.Drain()
 	}

@@ -65,7 +65,7 @@ func main() {
 		Catalog: device.Table1(),
 	}
 	mv.NIC, mv.CPU = scenario.Devices(p)
-	mplan, err := core.MultiPAM{}.Select(mv)
+	mplan, err := core.MultiPAM{}.SelectMulti(mv)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -165,17 +165,6 @@ func (prog *Program) buildIndex() {
 	}
 }
 
-// PackageFor returns the loaded package owning the given types.Package, or
-// nil when it is outside the program (stdlib).
-func (prog *Program) PackageFor(tp *types.Package) *Package {
-	for _, pkg := range prog.Packages {
-		if pkg.Types == tp {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // AnalyzerDiagnostic pairs a finding with the analyzer that produced it,
 // as collected by Run.
 type AnalyzerDiagnostic struct {

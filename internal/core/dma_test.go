@@ -119,7 +119,7 @@ func TestMultiPAMFiresOnAggregateDMAOverload(t *testing.T) {
 		NIC:     nic,
 		CPU:     cpu,
 	}
-	plan, err := core.MultiPAM{}.Select(v)
+	plan, err := core.MultiPAM{}.SelectMulti(v)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestMultiPAMFiresOnAggregateDMAOverload(t *testing.T) {
 		t.Errorf("split chain crossings after plan = %d, want 2", got)
 	}
 	// After the merge the engine cools: (2×1.0 + 0.8 + 0.8)/4.4 ≈ 0.82.
-	if _, err := (core.MultiPAM{}).Select(core.MultiView{
+	if _, err := (core.MultiPAM{}).SelectMulti(core.MultiView{
 		Loads: []core.Load{
 			{Chain: plan.Results[0], Throughput: 0.4},
 			{Chain: plan.Results[1], Throughput: 0.4},

@@ -22,19 +22,7 @@ func (NaiveMinNICCapacity) Name() string { return "Naive-MinNICCap" }
 
 // Select implements Selector.
 func (n NaiveMinNICCapacity) Select(v View) (Plan, error) {
-	return naiveSingle(n.Name(), v, func(v View, types []string, positions []int) (int, error) {
-		best, bestIdx := device.Gbps(0), -1
-		for j, t := range types {
-			g, err := v.Catalog.Lookup(t, device.KindSmartNIC)
-			if err != nil {
-				return -1, err
-			}
-			if bestIdx == -1 || g < best {
-				best, bestIdx = g, j
-			}
-		}
-		return bestIdx, nil
-	})
+	return naiveSingle(n.Name(), v, device.KindSmartNIC, func(g, best device.Gbps) bool { return g < best })
 }
 
 // NaiveCheapestOnCPU migrates the single SmartNIC vNF with the largest θC,
@@ -48,19 +36,7 @@ func (NaiveCheapestOnCPU) Name() string { return "Naive-CheapCPU" }
 
 // Select implements Selector.
 func (n NaiveCheapestOnCPU) Select(v View) (Plan, error) {
-	return naiveSingle(n.Name(), v, func(v View, types []string, positions []int) (int, error) {
-		best, bestIdx := device.Gbps(0), -1
-		for j, t := range types {
-			g, err := v.Catalog.Lookup(t, device.KindCPU)
-			if err != nil {
-				return -1, err
-			}
-			if bestIdx == -1 || g > best {
-				best, bestIdx = g, j
-			}
-		}
-		return bestIdx, nil
-	})
+	return naiveSingle(n.Name(), v, device.KindCPU, func(g, best device.Gbps) bool { return g > best })
 }
 
 // NaiveMinCapacityLoop is the iterative flavour of NaiveMinNICCapacity: it
@@ -73,97 +49,38 @@ type NaiveMinCapacityLoop struct{}
 // Name implements Selector.
 func (NaiveMinCapacityLoop) Name() string { return "Naive-MinCapLoop" }
 
-// Select implements Selector.
+// Select implements Selector: the selection loop with every SmartNIC
+// resident as a candidate and no DMA-triggered episodes.
 func (n NaiveMinCapacityLoop) Select(v View) (Plan, error) {
-	if err := v.Chain.Validate(); err != nil {
-		return Plan{}, err
-	}
-	overloaded, err := v.NICOverloaded()
-	if err != nil {
-		return Plan{}, err
-	}
-	if !overloaded {
-		return Plan{}, ErrNotOverloaded
-	}
-	work := v.Chain.Clone()
-	excluded := make(map[string]bool)
-	var steps []Step
-	for iter := 0; iter <= work.Len(); iter++ {
-		// Pick min θS among remaining NIC vNFs.
-		b0, b0Cap := -1, device.Gbps(0)
-		for _, i := range work.On(device.KindSmartNIC) {
-			e := work.At(i)
-			if excluded[e.Name] {
-				continue
-			}
-			g, err := v.Catalog.Lookup(e.Type, device.KindSmartNIC)
-			if err != nil {
-				return Plan{}, fmt.Errorf("naive: %w", err)
-			}
-			if b0 == -1 || g < b0Cap {
-				b0, b0Cap = i, g
-			}
-		}
-		if b0 == -1 {
-			return Plan{}, ErrBothOverloaded
-		}
-		elem := work.At(b0)
-		cpuTypes := append(work.TypesOn(device.KindCPU), elem.Type)
-		cpuU, err := v.CPU.Utilization(v.Catalog, cpuTypes, v.Throughput)
-		if err != nil {
-			return Plan{}, fmt.Errorf("naive: %w", err)
-		}
-		if cpuU >= 1 {
-			excluded[elem.Name] = true
-			continue
-		}
-		work.SetLoc(b0, device.KindCPU)
-		steps = append(steps, Step{Element: elem.Name, From: device.KindSmartNIC, To: device.KindCPU})
-		nicU, err := device.Device{Kind: device.KindSmartNIC}.
-			Utilization(v.Catalog, work.TypesOn(device.KindSmartNIC), v.Throughput)
-		if err != nil {
-			return Plan{}, fmt.Errorf("naive: %w", err)
-		}
-		if nicU < 1 {
-			return finishPlan(n.Name(), v, work, steps)
-		}
-	}
-	return Plan{}, fmt.Errorf("naive: did not terminate on chain %q", v.Chain.Name)
+	return policy{name: n.Name()}.selectOne(v)
 }
 
 // naiveSingle implements the shared one-shot naive skeleton: verify the NIC
-// is overloaded, pick one NIC vNF via choose (returns an index into the
-// parallel types/positions slices), and migrate it.
-func naiveSingle(name string, v View, choose func(View, []string, []int) (int, error)) (Plan, error) {
-	if err := v.Chain.Validate(); err != nil {
-		return Plan{}, err
-	}
-	overloaded, err := v.NICOverloaded()
+// is overloaded, then migrate the one NIC vNF whose capacity on kind is
+// better than every other's (the first such in chain order).
+func naiveSingle(name string, v View, kind device.Kind, better func(g, best device.Gbps) bool) (Plan, error) {
+	overloaded, _, err := v.lift().overloaded()
 	if err != nil {
 		return Plan{}, err
 	}
 	if !overloaded {
 		return Plan{}, ErrNotOverloaded
 	}
-	positions := v.Chain.On(device.KindSmartNIC)
-	if len(positions) == 0 {
-		return Plan{}, ErrNoCandidate
+	pick, best := -1, device.Gbps(0)
+	for _, pos := range v.Chain.On(device.KindSmartNIC) {
+		g, err := v.Catalog.Lookup(v.Chain.At(pos).Type, kind)
+		if err != nil {
+			return Plan{}, fmt.Errorf("%s: %w", name, err)
+		}
+		if pick < 0 || better(g, best) {
+			pick, best = pos, g
+		}
 	}
-	types := make([]string, len(positions))
-	for j, i := range positions {
-		types[j] = v.Chain.At(i).Type
-	}
-	j, err := choose(v, types, positions)
-	if err != nil {
-		return Plan{}, fmt.Errorf("%s: %w", name, err)
-	}
-	if j < 0 || j >= len(positions) {
+	if pick < 0 {
 		return Plan{}, ErrNoCandidate
 	}
 	work := v.Chain.Clone()
-	pos := positions[j]
-	elem := work.At(pos)
-	work.SetLoc(pos, device.KindCPU)
-	steps := []Step{{Element: elem.Name, From: device.KindSmartNIC, To: device.KindCPU}}
+	work.SetLoc(pick, device.KindCPU)
+	steps := []Step{{Element: work.At(pick).Name, From: device.KindSmartNIC, To: device.KindCPU}}
 	return finishPlan(name, v, work, steps)
 }

@@ -1,27 +1,10 @@
 package core
 
-import (
-	"fmt"
+import "repro/internal/chain"
 
-	"repro/internal/chain"
-	"repro/internal/device"
-)
-
-// PAM implements the paper's Push Aside Migration selection algorithm (§2).
-//
-// Step 1 — Border vNF identification: compute the left/right border sets
-// BL/BR of SmartNIC-resident vNFs whose neighbour sits on the CPU.
-//
-// Step 2 — Migration vNF selection (Eq. 1): b0 = argmin over BL ∪ BR of θS.
-//
-// Step 3 — Overload alleviation check: (Eq. 2) migrating b0 must not create
-// a CPU hot spot — otherwise drop b0 from the border sets and retry Step 2;
-// (Eq. 3) if, with b0 pushed aside, the SmartNIC is no longer overloaded,
-// migrate b0 and terminate; otherwise migrate b0, slide the border inward
-// (downstream of a left border, upstream of a right border), and loop.
-//
-// If the border sets empty out while the SmartNIC is still overloaded the
-// paper's terminal case applies and ErrBothOverloaded is returned.
+// PAM is the paper's Push Aside Migration selection algorithm (§2) on its
+// own terms: one service chain. It is the selection loop (policy.run) over
+// the view lifted to a single load, restricted to border vNFs.
 type PAM struct {
 	// Mode selects border identification semantics; the zero value
 	// (BorderModePaper) matches the paper's Figure 1 literally. The view's
@@ -34,147 +17,5 @@ func (PAM) Name() string { return "PAM" }
 
 // Select implements Selector, running Steps 1–3 against the view.
 func (p PAM) Select(v View) (Plan, error) {
-	if err := v.Chain.Validate(); err != nil {
-		return Plan{}, err
-	}
-	overNIC, err := v.NICOverloaded()
-	if err != nil {
-		return Plan{}, err
-	}
-	// A crossing-bound overload — the shared DMA engine saturated while the
-	// NIC itself stays feasible — also triggers selection: a border
-	// migration that merges device segments removes crossings, which is
-	// exactly the relief the interconnect needs.
-	overDMA, err := v.DMAOverloaded()
-	if err != nil {
-		return Plan{}, err
-	}
-	if !overNIC && !overDMA {
-		return Plan{}, ErrNotOverloaded
-	}
-	// The paper's terminal case, detected from measurement: when the
-	// backend reports both devices' demand at or past the threshold there
-	// is nowhere to push aside to — the model's Eq. 2, evaluated at the
-	// collapsed delivered θcur, could not see it.
-	th := v.OverloadThreshold
-	if th <= 0 {
-		th = DefaultOverloadThreshold
-	}
-	if v.MeasuredNICUtil >= th && v.MeasuredCPUUtil >= th {
-		return Plan{}, ErrBothOverloaded
-	}
-
-	work := v.Chain.Clone()
-	mode := p.Mode
-	if v.BorderMode != chain.BorderModePaper {
-		mode = v.BorderMode
-	}
-
-	// Border sets as position indices into work. Rebuilding after each
-	// migration implements both the implicit removal of migrated vNFs and
-	// the explicit border slide of Step 3: when a left border moves to the
-	// CPU its downstream SmartNIC neighbour becomes the new left border
-	// (symmetrically for right borders).
-	excluded := make(map[string]bool) // b0s rejected by Eq. 2
-
-	var steps []Step
-	for iter := 0; iter <= work.Len(); iter++ {
-		bl, br := work.Borders(mode)
-		cands := mergeUnique(bl, br)
-
-		// Step 2 (Eq. 1): minimum-θS border not excluded by Eq. 2.
-		b0 := -1
-		var b0Cap device.Gbps
-		for {
-			b0 = -1
-			for _, i := range cands {
-				e := work.At(i)
-				if excluded[e.Name] {
-					continue
-				}
-				g, err := v.Catalog.Lookup(e.Type, device.KindSmartNIC)
-				if err != nil {
-					return Plan{}, fmt.Errorf("pam: %w", err)
-				}
-				if b0 == -1 || g < b0Cap {
-					b0, b0Cap = i, g
-				}
-			}
-			if b0 == -1 {
-				// Border sets exhausted while the NIC is still hot.
-				return Plan{}, ErrBothOverloaded
-			}
-
-			// Step 3 check 1 (Eq. 2): CPU must absorb b0 without a new
-			// hot spot: Σ_{i on C} θcur/θC_i + θcur/θC_b0 < 1.
-			elem := work.At(b0)
-			cpuTypes := append(work.TypesOn(device.KindCPU), elem.Type)
-			cpuU, err := v.CPU.Utilization(v.Catalog, cpuTypes, v.Throughput)
-			if err != nil {
-				return Plan{}, fmt.Errorf("pam: %w", err)
-			}
-			if cpuU >= 1 {
-				excluded[elem.Name] = true
-				continue // back to Step 2
-			}
-			// A DMA-triggered episode must relieve the interconnect: a
-			// candidate whose move *adds* crossings (possible for the paper
-			// mode's head/tail borders) would deepen the very overload being
-			// handled, so it is excluded like an Eq. 2 failure.
-			if overDMA {
-				before := work.Crossings()
-				work.SetLoc(b0, device.KindCPU)
-				added := work.Crossings() > before
-				work.SetLoc(b0, device.KindSmartNIC)
-				if added {
-					excluded[elem.Name] = true
-					continue
-				}
-			}
-			break
-		}
-
-		// Migrate b0.
-		elem := work.At(b0)
-		work.SetLoc(b0, device.KindCPU)
-		steps = append(steps, Step{Element: elem.Name, From: device.KindSmartNIC, To: device.KindCPU})
-
-		// Step 3 check 2 (Eq. 3): Σ_{i on S, i≠b0} θcur/θS_i < 1.
-		// The paper's equation sums plain vNF utilizations; in a
-		// NIC-triggered episode the DMA charge for crossings stays a
-		// dataplane effect the algorithm does not see. A DMA-triggered
-		// episode additionally requires the model's post-migration crossing
-		// load to cool below the engine budget before terminating.
-		nicU, err := device.Device{Kind: device.KindSmartNIC}.
-			Utilization(v.Catalog, work.TypesOn(device.KindSmartNIC), v.Throughput)
-		if err != nil {
-			return Plan{}, fmt.Errorf("pam: %w", err)
-		}
-		dmaCool := !overDMA || v.NIC.DMAUtilization(v.Throughput, work.Crossings()) < 1
-		if nicU < 1 && dmaCool {
-			return finishPlan(p.Name(), v, work, steps)
-		}
-		// Otherwise loop: border sets are recomputed from the updated
-		// placement, which performs the Step-3 slide.
-	}
-	return Plan{}, fmt.Errorf("pam: did not terminate on chain %q", v.Chain.Name)
-}
-
-// mergeUnique merges two ascending index slices without duplicates.
-func mergeUnique(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
-	for _, x := range a {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	for _, x := range b {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
+	return policy{name: p.Name(), borders: true, mode: p.Mode, dma: true}.selectOne(v)
 }

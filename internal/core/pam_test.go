@@ -273,8 +273,73 @@ func randomChain(r *rand.Rand) *chain.Chain {
 	return c
 }
 
+// loopCases are the inputs every selection-loop property runs over: the
+// paper's single chain through both entry points (PAM.Select lifted back by
+// AsMulti, and MultiPAM on a one-load view), three chains sharing the
+// devices, and each again as a DMA-triggered episode.
+var loopCases = []struct {
+	name   string
+	sel    func(chain.BorderMode) core.MultiSelector
+	chains int
+	dma    bool
+}{
+	{"PAM", viaPAM, 1, false},
+	{"MultiPAM/N=1", viaMultiPAM, 1, false},
+	{"MultiPAM/N=3", viaMultiPAM, 3, false},
+	{"PAM/dma", viaPAM, 1, true},
+	{"MultiPAM/N=3/dma", viaMultiPAM, 3, true},
+}
+
+func viaPAM(m chain.BorderMode) core.MultiSelector      { return core.AsMulti(core.PAM{Mode: m}) }
+func viaMultiPAM(m chain.BorderMode) core.MultiSelector { return core.MultiPAM{Mode: m} }
+
+// randomView builds n random chains over the extended catalog sharing an
+// aggregate throughput of 0.1–4.0 Gbps. With dma, the engine budget is
+// sized so the model's crossing load sits at 1.2: the episode triggers on
+// the interconnect (whatever the NIC's state) and must cut crossings to end.
+func randomView(seed int64, tp uint8, n int, dma bool) core.MultiView {
+	r := rand.New(rand.NewSource(seed))
+	nic, cpu := scenario.Devices(scenario.DefaultParams())
+	v := core.MultiView{Catalog: device.ExtendedCatalog(), NIC: nic, CPU: cpu}
+	each := device.Gbps((0.1 + float64(tp%40)/10) / float64(n))
+	var crossingLoad device.Gbps
+	for i := 0; i < n; i++ {
+		c := randomChain(r)
+		v.Loads = append(v.Loads, core.Load{Chain: c, Throughput: each})
+		crossingLoad += each * device.Gbps(c.Crossings())
+	}
+	switch {
+	case dma && crossingLoad > 0:
+		v.NIC.DMAEngineGbps = crossingLoad / 1.2
+	case dma: // nothing crosses for the model to see: the measured form
+		v.MeasuredDMAUtil = 1.2
+	}
+	return v
+}
+
+// forEachLoopCase checks prop over random views of every loop case. prop
+// sees only runs that produced a plan.
+func forEachLoopCase(t *testing.T, mode chain.BorderMode, prop func(t *testing.T, dma bool, v core.MultiView, plan core.MultiPlan) bool) {
+	for _, tc := range loopCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64, tp uint8) bool {
+				v := randomView(seed, tp, tc.chains, tc.dma)
+				plan, err := tc.sel(mode).SelectMulti(v)
+				if err != nil {
+					return errors.Is(err, core.ErrNotOverloaded) || errors.Is(err, core.ErrBothOverloaded)
+				}
+				return prop(t, tc.dma, v, plan)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // Property: under BorderModeStrict, migrating any border vNF to the CPU
-// never increases PCIe crossings (the paper's central claim, §2).
+// never increases PCIe crossings (the paper's central claim, §2) — for each
+// border on its own, and for every chain of every plan the loop produces.
 func TestPropertyStrictBorderMigrationNeverAddsCrossings(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -295,75 +360,75 @@ func TestPropertyStrictBorderMigrationNeverAddsCrossings(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+	forEachLoopCase(t, chain.BorderModeStrict, neverAddsCrossings)
 }
 
-// Property: PAM terminates on random chains with one of its three defined
-// outcomes and, when it produces a plan under strict borders, the plan never
-// increases crossings and every step moves NIC→CPU.
-func TestPropertyPAMTerminatesAndIsSane(t *testing.T) {
-	p := scenario.DefaultParams()
-	f := func(seed int64, tp uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		c := randomChain(r)
-		throughput := device.Gbps(0.1 + float64(tp%40)/10) // 0.1 .. 4.0
-		v := scenario.ViewExtended(c, p, throughput)
-		v.BorderMode = chain.BorderModeStrict
-		plan, err := core.PAM{Mode: chain.BorderModeStrict}.Select(v)
-		if err != nil {
-			return errors.Is(err, core.ErrNotOverloaded) || errors.Is(err, core.ErrBothOverloaded)
+func neverAddsCrossings(t *testing.T, _ bool, v core.MultiView, plan core.MultiPlan) bool {
+	for i, res := range plan.Results {
+		if res.Crossings() > v.Loads[i].Chain.Crossings() {
+			t.Logf("plan %v added crossings to chain %d: %v -> %v", plan, i, v.Loads[i].Chain, res)
+			return false
 		}
-		if plan.After.Crossings > plan.Before.Crossings {
-			t.Logf("plan added crossings: %v", plan)
+	}
+	return true
+}
+
+// Property: the loop terminates on random chains with one of its three
+// defined outcomes and, when it produces a plan under strict borders, the
+// plan never increases crossings, every step moves NIC→CPU, and Eq. 3 holds
+// after it. A DMA-triggered episode also leaves the crossing load cool, and
+// adds no crossings even under the paper's head/tail borders.
+func TestPropertyPAMTerminatesAndIsSane(t *testing.T) {
+	sane := func(t *testing.T, dma bool, v core.MultiView, plan core.MultiPlan) bool {
+		if !neverAddsCrossings(t, dma, v, plan) {
 			return false
 		}
 		for _, s := range plan.Steps {
-			if s.From != device.KindSmartNIC || s.To != device.KindCPU {
+			if s.Step.From != device.KindSmartNIC || s.Step.To != device.KindCPU {
 				t.Logf("bad step direction: %v", s)
 				return false
 			}
 		}
 		// Eq. 3 as the algorithm sees it (no DMA term) must hold after.
-		nicU, err := device.Device{Kind: device.KindSmartNIC}.
-			Utilization(v.Catalog, plan.Result.TypesOn(device.KindSmartNIC), throughput)
-		if err != nil {
-			t.Logf("utilization: %v", err)
-			return false
-		}
-		return nicU < 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: PAM migrates only vNFs that were border vNFs at the moment of
-// their migration (replaying the plan step by step).
-func TestPropertyPAMMigratesOnlyBorders(t *testing.T) {
-	p := scenario.DefaultParams()
-	f := func(seed int64, tp uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		c := randomChain(r)
-		throughput := device.Gbps(0.1 + float64(tp%40)/10)
-		v := scenario.ViewExtended(c, p, throughput)
-		plan, err := core.PAM{}.Select(v)
-		if err != nil {
-			return true // covered by the termination property
-		}
-		replay := c.Clone()
-		for _, s := range plan.Steps {
-			bl, br := replay.Borders(chain.BorderModePaper)
-			idx := replay.Index(s.Element)
-			if !containsInt(bl, idx) && !containsInt(br, idx) {
-				t.Logf("step %v was not a border of %v", s, replay)
+		var nicU, dmaU float64
+		for i, res := range plan.Results {
+			u, err := device.Device{Kind: device.KindSmartNIC}.
+				Utilization(v.Catalog, res.TypesOn(device.KindSmartNIC), v.Loads[i].Throughput)
+			if err != nil {
+				t.Logf("utilization: %v", err)
 				return false
 			}
-			replay.SetLoc(idx, device.KindCPU)
+			nicU += u
+			dmaU += v.NIC.DMAUtilization(v.Loads[i].Throughput, res.Crossings())
+		}
+		return nicU < 1 && (!dma || dmaU < 1)
+	}
+	forEachLoopCase(t, chain.BorderModeStrict, sane)
+	forEachLoopCase(t, chain.BorderModePaper, func(t *testing.T, dma bool, v core.MultiView, plan core.MultiPlan) bool {
+		return !dma || sane(t, dma, v, plan)
+	})
+}
+
+// Property: the loop migrates only vNFs that were border vNFs of their
+// chain at the moment of their migration (replaying the plan step by step).
+func TestPropertyPAMMigratesOnlyBorders(t *testing.T) {
+	forEachLoopCase(t, chain.BorderModePaper, func(t *testing.T, _ bool, v core.MultiView, plan core.MultiPlan) bool {
+		replay := make([]*chain.Chain, len(v.Loads))
+		for i, l := range v.Loads {
+			replay[i] = l.Chain.Clone()
+		}
+		for _, s := range plan.Steps {
+			c := replay[s.ChainIndex]
+			bl, br := c.Borders(chain.BorderModePaper)
+			idx := c.Index(s.Step.Element)
+			if !containsInt(bl, idx) && !containsInt(br, idx) {
+				t.Logf("step %v was not a border of %v", s, c)
+				return false
+			}
+			c.SetLoc(idx, device.KindCPU)
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func containsInt(xs []int, x int) bool {

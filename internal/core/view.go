@@ -72,7 +72,11 @@ var (
 	ErrBothOverloaded = errors.New("core: both SmartNIC and CPU overloaded; scale out required")
 	// ErrNotOverloaded reports that no migration is needed.
 	ErrNotOverloaded = errors.New("core: SmartNIC is not overloaded")
-	// ErrNoCandidate reports an empty candidate set for a naive policy.
+	// ErrNoCandidate reports an empty candidate set: nothing on the
+	// SmartNIC for a one-shot naive policy, no chain at all for the
+	// selection loop. The loop also joins it to ErrBothOverloaded when its
+	// candidates run out while the NIC stays hot, which is how the control
+	// loop tells that verdict from measured demand on both devices.
 	ErrNoCandidate = errors.New("core: no migratable vNF on the SmartNIC")
 )
 
@@ -133,42 +137,6 @@ func Analyze(c *chain.Chain, v View, cur device.Gbps) (Analysis, error) {
 	}, nil
 }
 
-// NICOverloaded reports whether the view's SmartNIC utilization reaches the
-// overload threshold: the measured demand utilization when the backend
-// supplied one, otherwise the fluid model at the measured throughput.
-func (v View) NICOverloaded() (bool, error) {
-	th := v.OverloadThreshold
-	if th <= 0 {
-		th = DefaultOverloadThreshold
-	}
-	if v.MeasuredNICUtil > 0 {
-		return v.MeasuredNICUtil >= th, nil
-	}
-	a, err := Analyze(v.Chain, v, v.Throughput)
-	if err != nil {
-		return false, err
-	}
-	return a.NICUtil >= th, nil
-}
-
-// DMAOverloaded reports whether the PCIe/DMA-engine utilization reaches the
-// overload threshold: the measured demand when the backend supplied one,
-// otherwise the fluid model's crossings×θcur/θ_DMA estimate (zero when the
-// NIC device models no DMA engines).
-func (v View) DMAOverloaded() (bool, error) {
-	th := v.OverloadThreshold
-	if th <= 0 {
-		th = DefaultOverloadThreshold
-	}
-	if v.MeasuredDMAUtil > 0 {
-		return v.MeasuredDMAUtil >= th, nil
-	}
-	if err := v.Chain.Validate(); err != nil {
-		return false, err
-	}
-	return v.NIC.DMAUtilization(v.Throughput, v.Chain.Crossings()) >= th, nil
-}
-
 // Step is one vNF migration.
 type Step struct {
 	Element string
@@ -216,7 +184,8 @@ type Selector interface {
 	Select(v View) (Plan, error)
 }
 
-// apply builds a plan around a working chain the selectors mutate.
+// finishPlan builds the single-chain plan around the placement a selector
+// decided on, with the fluid-model analyses before and after.
 func finishPlan(name string, v View, work *chain.Chain, steps []Step) (Plan, error) {
 	before, err := Analyze(v.Chain, v, v.Throughput)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/device"
 	"repro/internal/emul"
 	"repro/internal/nf"
@@ -16,8 +17,8 @@ import (
 
 func newBatchRuntime(t *testing.T, cfg emul.Config) *emul.Runtime {
 	t.Helper()
-	if cfg.Chain == nil {
-		cfg.Chain = scenario.Figure1Chain()
+	if len(cfg.Chains) == 0 {
+		cfg.Chains = []*chain.Chain{scenario.Figure1Chain()}
 	}
 	if cfg.Catalog == nil {
 		cfg.Catalog = device.Table1()
@@ -63,7 +64,7 @@ func TestBatchAccountingIdentity(t *testing.T) {
 		tmpl := synth.Frame(uint64(i%16), 512)
 		f := r.AcquireFrame(len(tmpl))
 		copy(f, tmpl)
-		r.Send(f)
+		r.SendChain(0, f)
 	}
 	r.Drain()
 	delivered, nfDrops, queueDrops, ingress := accounting(r)
@@ -101,7 +102,7 @@ func TestBatchPerFlowOrdering(t *testing.T) {
 	lastSeen := map[byte]uint16{}
 	var mu sync.Mutex
 	var misordered int
-	r.SetEgressTap(func(frame []byte) {
+	r.SetChainEgressTap(func(_ int, frame []byte) {
 		mu.Lock()
 		f, s := flowOf(frame), seq(frame)
 		if prev, ok := lastSeen[f]; ok && s <= prev {
@@ -116,7 +117,7 @@ func TestBatchPerFlowOrdering(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		fr := synth.Frame(uint64(i%8), 256)
 		fr[18], fr[19] = byte(i>>8), byte(i) // monotone per flow because i mod 8 is fixed per flow
-		if r.Send(fr) {
+		if r.SendChain(0, fr) {
 			sent++
 		}
 	}
@@ -147,7 +148,7 @@ func TestShardedMigrationUnderLoad(t *testing.T) {
 		synth := traffic.NewSynth(8, 17)
 		sent := 0
 		for i := 0; i < 2000; i++ {
-			if r.Send(synth.Frame(uint64(i%8), 200)) {
+			if r.SendChain(0, synth.Frame(uint64(i%8), 200)) {
 				sent++
 			}
 		}
@@ -200,7 +201,7 @@ func TestSendCloseRace(t *testing.T) {
 					return
 				default:
 				}
-				r.Send(synth.Frame(uint64(i%4), 128))
+				r.SendChain(0, synth.Frame(uint64(i%4), 128))
 			}
 		}(int64(g + 100))
 	}
@@ -208,7 +209,7 @@ func TestSendCloseRace(t *testing.T) {
 	r.Close() // must not panic against concurrent Sends
 	close(stop)
 	wg.Wait()
-	if r.Send(traffic.NewSynth(1, 1).Frame(0, 128)) {
+	if r.SendChain(0, traffic.NewSynth(1, 1).Frame(0, 128)) {
 		t.Error("Send accepted after Close")
 	}
 }
@@ -239,7 +240,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			tmpl := tmpls[i%8]
 			f := r.AcquireFrame(len(tmpl))
 			copy(f, tmpl)
-			for !r.Send(f) {
+			for !r.SendChain(0, f) {
 				runtime.Gosched()
 			}
 		}

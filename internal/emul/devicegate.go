@@ -401,11 +401,18 @@ type deviceGate struct {
 	residents atomic.Int32
 }
 
-// newDeviceGate builds the gate for one device instance with the given
-// fairness burst (Config.DeviceBurst worth of bankable device time).
-func newDeviceGate(kind device.Kind, burst time.Duration) *deviceGate {
+// deviceBurst is each shared gate's fairness burst — the device gates' and
+// the DMA engine's — expressed as bankable device time. An idle device
+// accumulates up to this much budget, so a fresh burst is admitted
+// immediately; under contention it bounds how long one element can
+// monopolize the device between grants. DESIGN.md §5 calibrates the
+// scenarios' windows against it.
+const deviceBurst = 10 * time.Millisecond
+
+// newDeviceGate builds the gate for one device instance.
+func newDeviceGate(kind device.Kind) *deviceGate {
 	dg := &deviceGate{kind: kind}
-	dg.setRate(1.0, burst.Seconds())
+	dg.setRate(1.0, deviceBurst.Seconds())
 	return dg
 }
 
@@ -455,10 +462,10 @@ func (dg *deviceGate) drawLease(need int64) (extra int64, ok bool) {
 // registry used to hard-code three kinds, so a kind added to the device
 // package was silently absent here and the first placement on it
 // dereferenced a nil gate.
-func newDeviceGates(burst time.Duration) map[device.Kind]*deviceGate {
+func newDeviceGates() map[device.Kind]*deviceGate {
 	gates := make(map[device.Kind]*deviceGate, len(device.Kinds()))
 	for _, k := range device.Kinds() {
-		gates[k] = newDeviceGate(k, burst)
+		gates[k] = newDeviceGate(k)
 	}
 	return gates
 }

@@ -34,7 +34,6 @@ package emul
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/pcie"
@@ -76,10 +75,10 @@ type dmaGate struct {
 }
 
 // newDMAGate builds the shared engine for the runtime's link at its rate
-// scale, with burst worth of bankable link time.
-func newDMAGate(link pcie.Link, scale float64, burst time.Duration) *dmaGate {
+// scale, with deviceBurst worth of bankable link time.
+func newDMAGate(link pcie.Link, scale float64) *dmaGate {
 	g := &dmaGate{link: link, scale: scale}
-	g.setRate(1.0, burst.Seconds())
+	g.setRate(1.0, deviceBurst.Seconds())
 	return g
 }
 

@@ -102,7 +102,7 @@ func TestDMAGateZeroLinkIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Config{Chain: c, Catalog: device.Table1(), Scale: 1})
+	r, err := New(Config{Chains: []*chain.Chain{c}, Catalog: device.Table1(), Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDMAGateZeroLinkIsFree(t *testing.T) {
 	defer r.Close()
 	synth := traffic.NewSynth(4, 1)
 	for i := 0; i < 50; i++ {
-		r.Send(synth.Frame(uint64(i%4), 256))
+		r.SendChain(0, synth.Frame(uint64(i%4), 256))
 	}
 	r.Drain()
 	dc := r.dma.counters()

@@ -64,10 +64,7 @@ import (
 
 // Config parameterizes a Runtime.
 type Config struct {
-	// Chain is the single-tenant convenience form: equivalent to Chains
-	// holding exactly this chain. Set one of Chain or Chains, not both.
-	Chain *chain.Chain
-	// Chains hosts several tenants' service chains on the same emulated
+	// Chains hosts the tenants' service chains on the same emulated
 	// SmartNIC+CPU pair. Chain names must be unique; element names must be
 	// unique within a chain (and should be unique across chains so that
 	// Migrate-by-name stays unambiguous).
@@ -100,13 +97,6 @@ type Config struct {
 	// single-shard tenants spread across the pool. Frames are assigned to
 	// shards by flow-key hash, preserving per-flow FIFO order.
 	Workers int
-	// DeviceBurst is each shared device gate's fairness burst, expressed as
-	// bankable device time (default 10ms). An idle device accumulates up to
-	// this much budget, so a fresh burst is admitted immediately; under
-	// contention it bounds how long one element can monopolize the device
-	// between grants. Smaller values tighten fairness between co-resident
-	// elements, larger ones favour batch efficiency.
-	DeviceBurst time.Duration
 	// PoolFrames recycles every delivered or dropped frame's buffer into
 	// the runtime's frame pool. Callers should then obtain frames with
 	// AcquireFrame and must not retain frames in an egress tap beyond the
@@ -120,15 +110,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.Chain != nil && len(c.Chains) > 0 {
-		return c, errors.New("emul: set Chain or Chains, not both")
-	}
-	if c.Chain != nil {
-		c.Chains = []*chain.Chain{c.Chain}
-		c.Chain = nil
-	}
 	if len(c.Chains) == 0 {
-		return c, errors.New("emul: nil chain")
+		return c, errors.New("emul: no chains")
 	}
 	names := make(map[string]bool, len(c.Chains))
 	for i, ch := range c.Chains {
@@ -166,9 +149,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.DeviceBurst <= 0 {
-		c.DeviceBurst = 10 * time.Millisecond
 	}
 	return c, nil
 }
@@ -520,8 +500,8 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	r := &Runtime{
 		cfg:      cfg,
-		gates:    newDeviceGates(cfg.DeviceBurst),
-		dma:      newDMAGate(cfg.Link, cfg.Scale, cfg.DeviceBurst),
+		gates:    newDeviceGates(),
+		dma:      newDMAGate(cfg.Link, cfg.Scale),
 		stop:     make(chan struct{}),
 		frames:   packet.NewFramePool(),
 		decoders: packet.NewDecoderPool(),
@@ -653,13 +633,6 @@ func (r *Runtime) recycle(frame []byte) {
 	}
 }
 
-// NumChains returns how many service chains the runtime hosts.
-func (r *Runtime) NumChains() int { return len(r.chains) }
-
-// Send offers one frame to chain 0's ingress — the whole dataplane when the
-// runtime hosts a single chain. See SendChain.
-func (r *Runtime) Send(frame []byte) bool { return r.SendChain(0, frame) }
-
 // SendChain offers one frame to the given chain's ingress. It reports false
 // when the chain index is out of range or the first element's queue is full
 // (ingress drop). The frame is owned by the runtime once accepted; a
@@ -729,7 +702,7 @@ func (r *Runtime) SendChain(ci int, frame []byte) bool {
 func (r *Runtime) Drain() { r.inFlight.Wait() }
 
 // Close shuts the pipeline down after draining. The runtime cannot be
-// restarted. Safe to call concurrently with Send: late Sends are rejected.
+// restarted. Safe to call concurrently with SendChain: late sends are rejected.
 func (r *Runtime) Close() {
 	r.closeMu.Lock()
 	if !r.closed.CompareAndSwap(false, true) {
@@ -752,18 +725,12 @@ func (r *Runtime) Close() {
 	r.workerWG.Wait()
 }
 
-// SetEgressTap installs fn to receive every delivered frame of every chain
-// (tests). Must be set before Start. With Config.Workers > 1 different
-// chains' tails may be served by different pool workers, in which case fn
-// is called concurrently from several goroutines and must synchronize
-// internally. With Config.PoolFrames the frame buffer is recycled when fn
-// returns, so fn must copy anything it keeps.
-func (r *Runtime) SetEgressTap(fn func(frame []byte)) {
-	r.egress = func(_ int, frame []byte) { fn(frame) }
-}
-
-// SetChainEgressTap is SetEgressTap with the delivering chain's index, for
-// multi-tenant tests that attribute egress per tenant.
+// SetChainEgressTap installs fn to receive every delivered frame with the
+// delivering chain's index. Must be set before Start. With Config.Workers > 1
+// different chains' tails may be served by different pool workers, in which
+// case fn is called concurrently from several goroutines and must
+// synchronize internally. With Config.PoolFrames the frame buffer is
+// recycled when fn returns, so fn must copy anything it keeps.
 func (r *Runtime) SetChainEgressTap(fn func(chainIdx int, frame []byte)) { r.egress = fn }
 
 // run is the pool worker's goroutine body: allocate the per-worker batch

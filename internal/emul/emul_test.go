@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/device"
 	"repro/internal/emul"
 	"repro/internal/nf"
@@ -15,7 +16,7 @@ import (
 func newRuntime(t *testing.T, scale float64) *emul.Runtime {
 	t.Helper()
 	r, err := emul.New(emul.Config{
-		Chain:   scenario.Figure1Chain(),
+		Chains:  []*chain.Chain{scenario.Figure1Chain()},
 		Catalog: device.Table1(),
 		Link:    pcie.DefaultLink(),
 		Scale:   scale,
@@ -33,7 +34,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	const n = 500
 	sent := 0
 	for i := 0; i < n; i++ {
-		if r.Send(synth.Frame(uint64(i%8), 512)) {
+		if r.SendChain(0, synth.Frame(uint64(i%8), 512)) {
 			sent++
 		}
 	}
@@ -78,7 +79,7 @@ func TestThrottleEnforcesCapacity(t *testing.T) {
 	start := time.Now()
 	const n = 20
 	for i := 0; i < n; i++ {
-		r.Send(synth.Frame(uint64(i%4), 512))
+		r.SendChain(0, synth.Frame(uint64(i%4), 512))
 	}
 	r.Drain()
 	elapsed := time.Since(start)
@@ -99,7 +100,7 @@ func TestLiveMigrationKeepsState(t *testing.T) {
 	defer r.Close()
 	synth := traffic.NewSynth(8, 3)
 	for i := 0; i < 200; i++ {
-		r.Send(synth.Frame(uint64(i%8), 256))
+		r.SendChain(0, synth.Frame(uint64(i%8), 256))
 	}
 	r.Drain()
 
@@ -131,7 +132,7 @@ func TestLiveMigrationKeepsState(t *testing.T) {
 	// Traffic continues post-migration.
 	before := r.Results().Delivered
 	for i := 0; i < 100; i++ {
-		r.Send(synth.Frame(uint64(i%8), 256))
+		r.SendChain(0, synth.Frame(uint64(i%8), 256))
 	}
 	r.Drain()
 	if r.Results().Delivered <= before {
@@ -144,7 +145,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 	// (loss-free UNO semantics): delivered + NF drops + queue drops == sent.
 	// A queue deep enough for the whole burst guarantees zero queue drops.
 	r, err := emul.New(emul.Config{
-		Chain:      scenario.Figure1Chain(),
+		Chains:     []*chain.Chain{scenario.Figure1Chain()},
 		Catalog:    device.Table1(),
 		Link:       pcie.DefaultLink(),
 		Scale:      100,
@@ -161,7 +162,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 	go func() {
 		sent := 0
 		for i := 0; i < 1000; i++ {
-			if r.Send(synth.Frame(uint64(i%8), 200)) {
+			if r.SendChain(0, synth.Frame(uint64(i%8), 200)) {
 				sent++
 			}
 		}
@@ -217,7 +218,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := emul.New(emul.Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := emul.New(emul.Config{Chain: scenario.Figure1Chain()}); err == nil {
+	if _, err := emul.New(emul.Config{Chains: []*chain.Chain{scenario.Figure1Chain()}}); err == nil {
 		t.Error("missing catalog accepted")
 	}
 }
@@ -227,7 +228,7 @@ func TestConfigValidatesLink(t *testing.T) {
 	// so a negative PropDelay or bandwidth was silently accepted and later
 	// produced negative sleeps and negative DMA-gate costs.
 	base := func() emul.Config {
-		return emul.Config{Chain: scenario.Figure1Chain(), Catalog: device.Table1()}
+		return emul.Config{Chains: []*chain.Chain{scenario.Figure1Chain()}, Catalog: device.Table1()}
 	}
 	bad := base()
 	bad.Link = pcie.Link{PropDelay: -time.Microsecond}

@@ -21,7 +21,7 @@ import (
 func BenchmarkGateContention(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			dg := newDeviceGate(device.KindSmartNIC, 10*time.Millisecond)
+			dg := newDeviceGate(device.KindSmartNIC)
 			// 1 ns of device time per burst: even tens of millions of
 			// grants per second demand well under the 1.0 device-second/s
 			// refill, so every take is an uncontended-in-tokens grant.

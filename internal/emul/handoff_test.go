@@ -29,7 +29,7 @@ func monChain(t *testing.T) *chain.Chain {
 func handoffRuntime(t *testing.T) *emul.Runtime {
 	t.Helper()
 	r, err := emul.New(emul.Config{
-		Chain:   monChain(t),
+		Chains:  []*chain.Chain{monChain(t)},
 		Catalog: device.Table1(),
 		Link:    pcie.DefaultLink(),
 		Scale:   100,

@@ -25,7 +25,7 @@ import (
 // cost plus a fresh quantum, while spending the stale lease would leave the
 // balance untouched.
 func TestLeaseStaleGenerationNotSpent(t *testing.T) {
-	dev := newDeviceGate(device.KindSmartNIC, 10*time.Millisecond)
+	dev := newDeviceGate(device.KindSmartNIC)
 	burst := dev.burstN.Load()
 	quantum := burst / leaseDiv // one resident-free worker's lease quantum
 
@@ -66,8 +66,8 @@ func TestLeaseStaleGenerationNotSpent(t *testing.T) {
 // its net grant drops back to exactly the budget spent there — and the new
 // gate charged fresh.
 func TestLeaseReturnedOnGateChange(t *testing.T) {
-	nic := newDeviceGate(device.KindSmartNIC, 10*time.Millisecond)
-	cpu := newDeviceGate(device.KindCPU, 10*time.Millisecond)
+	nic := newDeviceGate(device.KindSmartNIC)
+	cpu := newDeviceGate(device.KindCPU)
 
 	w := &worker{}
 	cost1, cost2 := 0.0001, 0.0003
@@ -93,7 +93,7 @@ func TestLeaseReturnedOnGateChange(t *testing.T) {
 // banked, and the grant counter is only credited back by what was actually
 // banked — the balance can never exceed the configured cap.
 func TestLeaseReturnForfeitsAboveLimit(t *testing.T) {
-	dev := newDeviceGate(device.KindSmartNIC, 10*time.Millisecond)
+	dev := newDeviceGate(device.KindSmartNIC)
 	burst := dev.burstN.Load()
 
 	// Bucket is seeded full: a return must be forfeited entirely.

@@ -23,7 +23,7 @@ func TestLoadSamplerMeasuresWindow(t *testing.T) {
 	const n, size = 400, 512
 	sent := 0
 	for i := 0; i < n; i++ {
-		if r.Send(synth.Frame(uint64(i%8), size)) {
+		if r.SendChain(0, synth.Frame(uint64(i%8), size)) {
 			sent++
 		}
 	}
@@ -132,7 +132,7 @@ func TestLoadSamplerAttributesMigrationWindowPerDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := emul.New(emul.Config{
-		Chain:   c,
+		Chains:  []*chain.Chain{c},
 		Catalog: device.Table1(),
 		Link:    pcie.DefaultLink(),
 		Scale:   10, // generous: nothing throttles, counts are exact
@@ -148,7 +148,7 @@ func TestLoadSamplerAttributesMigrationWindowPerDevice(t *testing.T) {
 	const size, nNIC, nCPU = 512, 100, 40
 	send := func(n int) {
 		for i := 0; i < n; i++ {
-			if !r.Send(synth.Frame(uint64(i%8), size)) {
+			if !r.SendChain(0, synth.Frame(uint64(i%8), size)) {
 				t.Fatal("ingress drop in an unthrottled runtime")
 			}
 		}
@@ -221,7 +221,7 @@ func TestLoadSamplerMeasuresDMADirections(t *testing.T) {
 	const n, size = 300, 512
 	sent := 0
 	for i := 0; i < n; i++ {
-		if r.Send(synth.Frame(uint64(i%8), size)) {
+		if r.SendChain(0, synth.Frame(uint64(i%8), size)) {
 			sent++
 		}
 	}
@@ -265,7 +265,7 @@ func TestLoadSamplerSeesQueueDrops(t *testing.T) {
 	// Shallow queues and tiny frames keep Close's drain of the throttled
 	// pipeline to a couple of seconds.
 	r, err := emul.New(emul.Config{
-		Chain:      scenario.Figure1Chain(),
+		Chains:     []*chain.Chain{scenario.Figure1Chain()},
 		Catalog:    device.Table1(),
 		Scale:      5e5,
 		QueueDepth: 8,
@@ -278,7 +278,7 @@ func TestLoadSamplerSeesQueueDrops(t *testing.T) {
 	ls := emul.NewLoadSampler(r)
 	synth := traffic.NewSynth(4, 2)
 	for i := 0; i < 150; i++ {
-		r.Send(synth.Frame(uint64(i%4), 64))
+		r.SendChain(0, synth.Frame(uint64(i%4), 64))
 	}
 	time.Sleep(50 * time.Millisecond)
 	s := ls.Sample()

@@ -47,12 +47,6 @@ func (e Escalation) String() string {
 	return fmt.Sprintf("server %s: %v", e.Server, e.Core)
 }
 
-// Sample is fleet-level telemetry: one server's measured load window.
-type Sample struct {
-	Server ServerID
-	Load   emul.LoadSample
-}
-
 // Migration records one executed cross-server chain migration.
 type Migration struct {
 	Tenant string

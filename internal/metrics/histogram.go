@@ -324,9 +324,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
 // Quantile computes the p-quantile (p in [0,1]) of xs by sorting a copy.
 // It returns 0 for an empty slice. Intended for small result sets where
 // exactness matters more than speed.

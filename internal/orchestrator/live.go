@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/emul"
+	"repro/internal/telemetry"
 )
 
 // Live drives the control loop over an execution-emulator runtime on
@@ -31,10 +32,13 @@ type Live struct {
 
 	smu     sync.Mutex
 	samples []emul.LoadSample
-	// perChain is the last non-degenerate window's measured delivered rate
-	// per hosted chain (catalog units) — the per-chain mix the selection
-	// view apportions the smoothed throughput by.
-	perChain []float64
+	// perChain smooths each hosted chain's measured delivered rate (catalog
+	// units, parallel to the runtime's chains) over the non-degenerate
+	// windows with the detector's EWMA factor — the per-chain mix the
+	// selection view apportions the smoothed throughput by. A single window's dip in one tenant's delivery must
+	// not re-rank the tenants: an overload control reacts to the smoothed
+	// rate, not to one window.
+	perChain []telemetry.EWMA
 	// nicUtil/cpuUtil/dmaUtil are the last window's measured *demand*
 	// utilizations (Σ offered/θ per device; offered crossing load over the
 	// shared engine budget for dmaUtil). They ride into the selection view
@@ -60,12 +64,11 @@ func NewLive(rt *emul.Runtime, cfg Config, viewTemplate core.View) (*Live, error
 	o := &Live{rt: rt, sampler: emul.NewLoadSampler(rt)}
 	view := func() core.MultiView {
 		placements := rt.Placements()
-		per := o.chainRates(len(placements))
 		loads := make([]core.Load, len(placements))
-		for i, c := range placements {
-			loads[i] = core.Load{Chain: c, Throughput: device.MeasuredGbps(per[i])}
-		}
 		o.smu.Lock()
+		for i, c := range placements {
+			loads[i] = core.Load{Chain: c, Throughput: device.MeasuredGbps(o.perChain[i].Value())}
+		}
 		nicU, cpuU, dmaU := o.nicUtil, o.cpuUtil, o.dmaUtil
 		o.smu.Unlock()
 		return multiViewFrom(viewTemplate, loads, nicU, cpuU, dmaU)
@@ -75,16 +78,11 @@ func NewLive(rt *emul.Runtime, cfg Config, viewTemplate core.View) (*Live, error
 		return nil, err
 	}
 	o.loop = l
+	o.perChain = make([]telemetry.EWMA, len(rt.Placements()))
+	for i := range o.perChain {
+		o.perChain[i].Alpha = l.detector.Config().Alpha
+	}
 	return o, nil
-}
-
-// chainRates returns the latest per-chain delivered rates, zero-filled to n.
-func (o *Live) chainRates(n int) []float64 {
-	out := make([]float64, n)
-	o.smu.Lock()
-	copy(out, o.perChain)
-	o.smu.Unlock()
-	return out
 }
 
 // execute applies the plan step by step via live migration, addressing each
@@ -119,15 +117,8 @@ func (o *Live) Poll() {
 	o.smu.Lock()
 	o.samples = append(o.samples, ls)
 	o.nicUtil, o.cpuUtil, o.dmaUtil = ls.NIC.Utilization, ls.CPU.Utilization, ls.DMA.Utilization
-	if len(ls.Chains) > 0 {
-		if o.perChain == nil {
-			o.perChain = make([]float64, len(ls.Chains))
-		}
-		for i, cl := range ls.Chains {
-			if i < len(o.perChain) {
-				o.perChain[i] = cl.DeliveredGbps
-			}
-		}
+	for i, cl := range ls.Chains {
+		o.perChain[i].Observe(cl.DeliveredGbps)
 	}
 	o.smu.Unlock()
 	o.observe(ls.At, ls.Telemetry())

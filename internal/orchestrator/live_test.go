@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/emul"
@@ -17,7 +18,7 @@ import (
 func newLiveRuntime(t *testing.T) *emul.Runtime {
 	t.Helper()
 	rt, err := emul.New(emul.Config{
-		Chain:   scenario.Figure1Chain(),
+		Chains:  []*chain.Chain{scenario.Figure1Chain()},
 		Catalog: device.Table1(),
 		Link:    pcie.DefaultLink(),
 		Scale:   100, // generous: nothing throttles in these tests
@@ -78,7 +79,7 @@ func sendFrames(t *testing.T, rt *emul.Runtime, n int) {
 		tmpl := synth.Frame(uint64(i%8), 512)
 		frame := rt.AcquireFrame(len(tmpl))
 		copy(frame, tmpl)
-		rt.Send(frame)
+		rt.SendChain(0, frame)
 	}
 	rt.Drain()
 	// A sampling window below 1ms reads as degenerate and reports zero

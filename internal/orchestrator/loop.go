@@ -298,7 +298,7 @@ func (l *loop) observe(now time.Duration, s telemetry.Sample) {
 			// The paper's scale-out terminal case: report it upward as a
 			// structured escalation rather than a dead-end skip, so a fleet
 			// tier can relieve the server by migrating a tenant away.
-			esc := escalationFrom(now, v, s, throughput)
+			esc := escalationFrom(now, err, s, throughput)
 			l.mu.Lock()
 			l.events = append(l.events, Event{At: now, Kind: EventEscalated, Err: err, Escalation: &esc})
 			fn := l.escalate
@@ -516,19 +516,15 @@ func rescale(loads []core.Load, smoothedTotal float64) {
 }
 
 // escalationFrom builds the structured scale-out report for a terminal
-// verdict: the measured demand picture from the window that fired, with
-// the reason classified against the same measured utilizations the
-// selector checked. A model-driven backend (no measured utilizations in
-// the view) reaches the verdict by exhausting candidates, which is the
-// no-feasible-plan form.
-func escalationFrom(now time.Duration, v core.MultiView, s telemetry.Sample, throughput float64) core.Escalation {
-	th := v.OverloadThreshold
-	if th <= 0 {
-		th = core.DefaultOverloadThreshold
-	}
-	reason := core.EscalateNoFeasiblePlan
-	if v.MeasuredNICUtil >= th && v.MeasuredCPUUtil >= th {
-		reason = core.EscalateBothOverloaded
+// verdict err: the measured demand picture from the window that fired, with
+// the reason the selector reached it by. Exhausting the candidates
+// (core.ErrNoCandidate joined to the verdict) is the no-feasible-plan form,
+// the only one a model-driven backend can reach; otherwise the backend's
+// measured demand was past the threshold on both devices.
+func escalationFrom(now time.Duration, err error, s telemetry.Sample, throughput float64) core.Escalation {
+	reason := core.EscalateBothOverloaded
+	if errors.Is(err, core.ErrNoCandidate) {
+		reason = core.EscalateNoFeasiblePlan
 	}
 	return core.Escalation{
 		At:            now,

@@ -133,11 +133,8 @@ func (e *Ethernet) Decode(data []byte) (payload []byte, err error) {
 	return data[EthernetHeaderLen:], nil
 }
 
-// HeaderLen returns the encoded header size.
-func (e *Ethernet) HeaderLen() int { return EthernetHeaderLen }
-
-// Serialize writes the header into b, which must have room for HeaderLen
-// bytes. It returns the number of bytes written.
+// Serialize writes the header into b, which must have room for
+// EthernetHeaderLen bytes. It returns the number of bytes written.
 func (e *Ethernet) Serialize(b []byte) int {
 	copy(b[0:6], e.Dst[:])
 	copy(b[6:12], e.Src[:])
@@ -199,15 +196,6 @@ func (ip *IPv4) Decode(data []byte) (payload []byte, err error) {
 		end = len(data)
 	}
 	return data[hlen:end], nil
-}
-
-// HeaderLen returns the encoded header size including options.
-func (ip *IPv4) HeaderLen() int {
-	hl := int(ip.IHL) * 4
-	if hl < IPv4MinHeaderLen {
-		hl = IPv4MinHeaderLen + len(ip.Options)
-	}
-	return hl
 }
 
 // Serialize writes the header into b (which must have room for HeaderLen
@@ -279,9 +267,6 @@ func (ip *IPv6) Decode(data []byte) (payload []byte, err error) {
 	return data[IPv6HeaderLen:end], nil
 }
 
-// HeaderLen returns the fixed header size.
-func (ip *IPv6) HeaderLen() int { return IPv6HeaderLen }
-
 // Serialize writes the fixed header into b and returns bytes written.
 func (ip *IPv6) Serialize(b []byte) int {
 	b[0] = 6<<4 | ip.TrafficClass>>4
@@ -343,9 +328,6 @@ func (t *TCP) Decode(data []byte) (payload []byte, err error) {
 	return data[hlen:], nil
 }
 
-// HeaderLen returns the encoded header size including options.
-func (t *TCP) HeaderLen() int { return TCPMinHeaderLen + len(t.Options) }
-
 // Serialize writes the header into b without computing the checksum (the
 // pseudo-header checksum is applied by the builder, which knows the IP
 // layer). Returns bytes written.
@@ -388,9 +370,6 @@ func (u *UDP) Decode(data []byte) (payload []byte, err error) {
 	return data[UDPHeaderLen:end], nil
 }
 
-// HeaderLen returns the encoded header size.
-func (u *UDP) HeaderLen() int { return UDPHeaderLen }
-
 // Serialize writes the header into b without the checksum and returns bytes
 // written.
 func (u *UDP) Serialize(b []byte) int {
@@ -427,9 +406,6 @@ func (ic *ICMPv4) Decode(data []byte) (payload []byte, err error) {
 	ic.Seq = binary.BigEndian.Uint16(data[6:8])
 	return data[ICMPHeaderLen:], nil
 }
-
-// HeaderLen returns the encoded header size.
-func (ic *ICMPv4) HeaderLen() int { return ICMPHeaderLen }
 
 // Serialize writes the header into b with a zero checksum field (the builder
 // computes it over header+payload) and returns bytes written.

@@ -470,9 +470,9 @@ func tenantResult(spec *Spec, ti int, from, to *server, relief time.Duration) Te
 		case relief < 0:
 		case s.At < relief:
 			// Skip windows that touch the calm phase *and* the first full
-			// overload window: the device gate spends its banked burst
-			// (Config.DeviceBurst) right after onset, so that window still
-			// measures calm-phase service, not steady contention.
+			// overload window: the device gate spends its banked 10 ms
+			// burst right after onset, so that window still measures
+			// calm-phase service, not steady contention.
 			if s.At-s.Window >= calmEnd+s.Window {
 				before = append(before, d)
 			}

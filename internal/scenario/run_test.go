@@ -217,7 +217,7 @@ func TestLiveMultiTenantClosedLoop(t *testing.T) {
 			// 25 ms window's whole budget — so any individual window lands
 			// near 0 or near 2 by quantization alone. The mean over the hot
 			// phase is the physical claim: the gate never grants faster than
-			// its refill plus the banked DeviceBurst.
+			// its refill plus the banked 10 ms burst.
 			if s.NIC.Utilization >= 0.95 {
 				grantSum += s.NIC.GrantUtilization * s.Window.Seconds()
 				grantWin += s.Window.Seconds()

@@ -85,9 +85,6 @@ func (e *Engine) RunAll() int {
 	return n
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.Len() }
-
 type event struct {
 	at  time.Duration
 	seq uint64

@@ -18,13 +18,12 @@ type Server struct {
 	// unbounded.
 	QueueCapacity int
 
-	queue     []job
-	busy      bool
-	busyTime  time.Duration
-	lastIdle  time.Duration
-	accepted  uint64
-	rejected  uint64
-	highWater int
+	queue    []job
+	busy     bool
+	busyTime time.Duration
+	lastIdle time.Duration
+	accepted uint64
+	rejected uint64
 }
 
 type job struct {
@@ -54,9 +53,6 @@ func (s *Server) Submit(service time.Duration, done func(start, end time.Duratio
 	}
 	s.accepted++
 	s.queue = append(s.queue, job{service: service, done: done})
-	if len(s.queue) > s.highWater {
-		s.highWater = len(s.queue)
-	}
 	if !s.busy {
 		s.startNext()
 	}
@@ -87,12 +83,6 @@ func (s *Server) Accepted() uint64 { return s.accepted }
 
 // Rejected returns how many jobs were tail-dropped.
 func (s *Server) Rejected() uint64 { return s.rejected }
-
-// QueueLen returns the number of jobs waiting (excluding the one in service).
-func (s *Server) QueueLen() int { return len(s.queue) }
-
-// HighWater returns the deepest observed queue length.
-func (s *Server) HighWater() int { return s.highWater }
 
 // BusyTime returns cumulative time the server spent serving completed jobs.
 func (s *Server) BusyTime() time.Duration { return s.busyTime }

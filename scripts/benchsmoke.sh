@@ -21,7 +21,7 @@
 set -eu
 out="${1:-bench_current.json}"
 tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+trap 'rm -f "$tmp" "$tmp.json"' EXIT
 
 # The numbers below only mean anything if the hot paths stayed
 # allocation-free: gate on the compiler's escape analysis before spending
@@ -37,4 +37,7 @@ go test -run xxx -bench='GateContention' -benchtime=2000000x -count=3 -benchmem 
 # fixed 1000 iterations measures steady-state planning rate without
 # wall-clock noise.
 go test -run xxx -bench='FleetRebalance' -benchtime=1000x -count=3 -benchmem ./internal/fleet/ | tee -a "$tmp"
-go run ./cmd/benchjson -o "$out" < "$tmp"
+# Parse to a scratch file first: a failed parse must not truncate a baseline
+# being refreshed in place.
+go run ./cmd/benchdiff -parse < "$tmp" > "$tmp.json"
+mv "$tmp.json" "$out"
