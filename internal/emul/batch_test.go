@@ -91,7 +91,7 @@ func TestBatchAccountingIdentity(t *testing.T) {
 // order end to end even with the element sharded across pool workers.
 func TestBatchPerFlowOrdering(t *testing.T) {
 	r := newBatchRuntime(t, emul.Config{
-		Scale:      10,
+		Scale:      4, // the gate, not the sender, paces the workers: bursts are full
 		QueueDepth: 4096,
 		BatchSize:  16,
 		Workers:    4,
@@ -216,13 +216,16 @@ func TestSendCloseRace(t *testing.T) {
 
 // TestSteadyStateAllocs guards the near-zero-alloc promise of the pooled
 // batch dataplane end to end: after warm-up, pushing a frame through the
-// whole four-element chain must cost ~a tenth of an allocation, not several
-// per hop. Counted via MemStats because the work happens on worker
+// whole four-element chain costs only its share of the verdict slice each
+// ProcessBatch returns — one per NF per burst, so 4 ÷ 64 = 0.0625 while
+// bursts are full — and nothing per hop or per frame. The bound leaves room
+// for bursts a quarter full. Counted via MemStats because the work happens
+// on worker
 // goroutines (testing.AllocsPerRun only sees the calling goroutine; the
 // per-component guards live in packet and nf).
 func TestSteadyStateAllocs(t *testing.T) {
 	r := newBatchRuntime(t, emul.Config{
-		Scale:      1, // generous rates: no throttle sleeps during the measurement
+		Scale:      4, // the gate, not the sender, paces the workers: bursts are full
 		QueueDepth: 4096,
 		BatchSize:  64,
 		Workers:    2,
@@ -256,7 +259,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perFrame := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("steady-state allocs/frame = %.3f", perFrame)
-	if perFrame > 1.5 {
-		t.Errorf("steady-state allocations regressed: %.2f allocs/frame, want ≤1.5", perFrame)
+	bound := 0.25
+	if raceInstrumented {
+		bound += 0.25
+	}
+	if perFrame > bound {
+		t.Errorf("steady-state allocations regressed: %.3f allocs/frame, want ≤%.2f", perFrame, bound)
 	}
 }

@@ -734,29 +734,29 @@ func (r *Runtime) Close() {
 func (r *Runtime) SetChainEgressTap(fn func(chainIdx int, frame []byte)) { r.egress = fn }
 
 // run is the pool worker's goroutine body: allocate the per-worker batch
-// scratch once (decoders, job slices, context arrays), then enter the
-// polling loop. The split keeps every allocation in this prologue so the
-// loop itself is provably allocation-free.
+// scratch once (job slices, context arrays, one decoder per context), then
+// enter the polling loop. The split keeps every allocation in this prologue
+// so the loop itself is provably allocation-free.
 func (w *worker) run() {
 	r := w.r
 	defer r.workerWG.Done()
 	batch := r.cfg.BatchSize
-	decs := make([]*packet.Decoder, batch)
-	for i := range decs {
-		decs[i] = r.decoders.Get()
+	ctxs := make([]nf.Ctx, batch)
+	ptrs := make([]*nf.Ctx, batch)
+	for i := range ctxs {
+		ctxs[i].Decoder = r.decoders.Get()
+		ptrs[i] = &ctxs[i]
 	}
 	defer w.releaseLease() // worker exit returns any banked device budget
 	defer func() {
-		for _, d := range decs {
-			r.decoders.Put(d)
+		for i := range ctxs {
+			r.decoders.Put(ctxs[i].Decoder)
 		}
 	}()
 	jobs := make([]job, batch)
 	inline := make([]job, 0, batch)
-	ctxs := make([]nf.Ctx, batch)
-	ptrs := make([]*nf.Ctx, batch)
 	lats := make([]int64, 0, batch)
-	w.loop(decs, jobs, inline, ctxs, ptrs, lats)
+	w.loop(jobs, inline, ctxs, ptrs, lats)
 }
 
 // loop polls every owned ring round-robin, draining and processing up to
@@ -764,7 +764,7 @@ func (w *worker) run() {
 // bursts and parks when a full sweep finds no work.
 //
 //pam:hotpath
-func (w *worker) loop(decs []*packet.Decoder, jobs, inline []job, ctxs []nf.Ctx, ptrs []*nf.Ctx, lats []int64) {
+func (w *worker) loop(jobs, inline []job, ctxs []nf.Ctx, ptrs []*nf.Ctx, lats []int64) {
 	r := w.r
 	for {
 		if w.ctrlPending.Load() != 0 {
@@ -780,7 +780,7 @@ func (w *worker) loop(decs []*packet.Decoder, jobs, inline []job, ctxs []nf.Ctx,
 				continue
 			}
 			did = true
-			w.processBurst(s.el, jobs[:n], &inline, decs, ctxs, ptrs, &lats)
+			w.processBurst(s.el, jobs[:n], &inline, ctxs, ptrs, &lats)
 			if w.ctrlPending.Load() != 0 {
 				w.handleCtrl()
 			}
@@ -859,10 +859,15 @@ func (w *worker) ackPause(req *pauseReq) {
 // enqueue to the destination ring, so gate charging always happens where
 // the frames are consumed.
 //
+// A frame is decoded and keyed once per ring hop: ctxs[i] belongs to
+// jobs[i] (ptrs[i] points at it, each owning one decoder), and a survivor
+// continued inline takes its context along, so the successor decodes only
+// what its predecessor marked Rewritten.
+//
 //pam:hotpath
-func (w *worker) processBurst(el *element, jobs []job, inline *[]job, decs []*packet.Decoder, ctxs []nf.Ctx, ptrs []*nf.Ctx, lats *[]int64) {
+func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.Ctx, ptrs []*nf.Ctx, lats *[]int64) {
 	r := w.r
-	for {
+	for carried := false; ; carried = true {
 		n := len(jobs)
 
 		// Emulate the shared device capacity: the burst's bytes are converted
@@ -917,17 +922,17 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, decs []*pa
 		now := r.now()
 		el.meter.Cell(w.idx+1).ObserveN(uint64(n), uint64(total), now)
 		for i := range jobs {
-			dec := decs[i]
+			c := &ctxs[i]
+			c.Now = now
+			if carried && !c.Rewritten {
+				continue
+			}
+			c.Frame, c.Rewritten = jobs[i].frame, false
 			// Decode is allocation-free on well-formed frames; its malformed-
 			// frame error path formats, which NFs tolerate and never hit in
 			// steady state.
-			_, _ = dec.Decode(jobs[i].frame) //pam:slowpath-ok decode error path formats
-			c := &ctxs[i]
-			*c = nf.Ctx{Frame: jobs[i].frame, Decoder: dec, Now: now}
-			if k, ok := flow.FromDecoder(dec); ok {
-				c.FlowKey, c.HasFlow = k, true
-			}
-			ptrs[i] = c
+			_, _ = c.Decoder.Decode(c.Frame) //pam:slowpath-ok decode error path formats
+			c.FlowKey, c.HasFlow = flow.FromDecoder(c.Decoder)
 		}
 		inst := *el.inst.Load()
 		verdicts := inst.ProcessBatch(ptrs[:n])
@@ -958,6 +963,12 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, decs []*pa
 				// ring is empty, so a frame buffered there (across a freeze,
 				// say) can never be overtaken by a newer frame of its flow.
 				if !crossingNext && ns.owner == w && !next.paused.Load() && ns.q.empty() {
+					// The context travels with the frame: slot len(keep) ≤ i
+					// holds a frame that is not continuing, so swapping
+					// compacts the contexts exactly as keep compacts the jobs.
+					if k := len(keep); k != i {
+						ctxs[k], ctxs[i] = ctxs[i], ctxs[k]
+					}
 					keep = append(keep, j)
 					continue
 				}

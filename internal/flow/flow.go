@@ -2,7 +2,7 @@
 // keys extracted from decoded packets, a symmetric non-cryptographic hash
 // suitable for load balancing (both directions of a connection map to the
 // same value, as in gopacket's FastHash), and a sharded flow table with TTL
-// eviction used by the Monitor, NAT and Firewall NFs.
+// eviction used by the Monitor, Firewall and LoadBalancer NFs.
 package flow
 
 import (

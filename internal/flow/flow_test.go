@@ -60,17 +60,30 @@ func TestFromDecoder(t *testing.T) {
 	}
 }
 
-func TestTableTouchAndLookup(t *testing.T) {
+// lookup reads k's entry without touching it.
+func lookup(tbl *flow.Table, k flow.Key) (found flow.Entry, ok bool) {
+	tbl.Range(func(e *flow.Entry) bool {
+		if e.Key == k {
+			found, ok = *e, true
+		}
+		return !ok
+	})
+	return found, ok
+}
+
+func TestTableTouchIfPresent(t *testing.T) {
 	tbl := flow.NewTable(time.Second, 0)
 	k := key(1, 2, 3, 4)
+	if _, ok := tbl.TouchIfPresent(k, 100, 0); ok || tbl.Len() != 0 {
+		t.Fatalf("absent key: ok=%v len=%d, want a miss that creates nothing", ok, tbl.Len())
+	}
 	e := tbl.Touch(k, 100, 10*time.Millisecond)
 	if e.Packets != 1 || e.Bytes != 100 {
 		t.Fatalf("entry = %+v", e)
 	}
-	tbl.Touch(k, 50, 20*time.Millisecond)
-	got, ok := tbl.Lookup(k, 30*time.Millisecond)
-	if !ok || got.Packets != 2 || got.Bytes != 150 {
-		t.Fatalf("lookup = %+v ok=%v", got, ok)
+	got, ok := tbl.TouchIfPresent(k, 50, 20*time.Millisecond)
+	if !ok || got != e || got.Packets != 2 || got.Bytes != 150 || got.LastSeen != 20*time.Millisecond {
+		t.Fatalf("touch-if-present = %+v ok=%v", got, ok)
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("len = %d", tbl.Len())
@@ -81,11 +94,20 @@ func TestTableTTLExpiry(t *testing.T) {
 	tbl := flow.NewTable(100*time.Millisecond, 0)
 	k := key(1, 2, 3, 4)
 	tbl.Touch(k, 10, 0)
-	if _, ok := tbl.Lookup(k, 50*time.Millisecond); !ok {
+	if _, ok := tbl.TouchIfPresent(k, 10, 50*time.Millisecond); !ok {
 		t.Fatal("entry expired too early")
 	}
-	if _, ok := tbl.Lookup(k, 200*time.Millisecond); ok {
+	// Idle since the touch at 50 ms: 150 ms > TTL.
+	if _, ok := tbl.TouchIfPresent(k, 10, 200*time.Millisecond); ok {
 		t.Fatal("entry did not expire")
+	}
+	if tbl.Len() != 0 {
+		t.Fatal("expired entry was not evicted")
+	}
+	// Touch applies the same rule: an expired flow starts afresh.
+	tbl.Touch(k, 10, 300*time.Millisecond)
+	if e := tbl.Touch(k, 10, 500*time.Millisecond); e.Packets != 1 || e.FirstSeen != 500*time.Millisecond {
+		t.Fatalf("expired flow was not restarted: %+v", e)
 	}
 }
 
@@ -126,9 +148,29 @@ func TestSnapshotRestore(t *testing.T) {
 	if tbl2.Len() != 20 {
 		t.Fatalf("restored = %d entries", tbl2.Len())
 	}
-	e, ok := tbl2.Lookup(key(5, 2, 3, 4), time.Hour)
+	e, ok := lookup(tbl2, key(5, 2, 3, 4))
 	if !ok || e.Bytes != 50 {
 		t.Fatalf("restored entry = %+v ok=%v", e, ok)
+	}
+}
+
+// Restore replaces what the table held and keeps the TTL and bound it was
+// built with.
+func TestRestoreReplacesAndKeepsParameters(t *testing.T) {
+	tbl := flow.NewTable(100*time.Millisecond, 16)
+	tbl.Touch(key(200, 2, 3, 4), 10, 0)
+	tbl.Restore([]flow.Entry{{Key: key(1, 2, 3, 4), Packets: 3, LastSeen: 10 * time.Millisecond}})
+	if _, ok := lookup(tbl, key(200, 2, 3, 4)); ok || tbl.Len() != 1 {
+		t.Fatalf("restore kept old contents: len=%d", tbl.Len())
+	}
+	if _, ok := tbl.TouchIfPresent(key(1, 2, 3, 4), 10, time.Second); ok {
+		t.Error("TTL lost across Restore: idle entry still live")
+	}
+	for i := 0; i < 200; i++ {
+		tbl.Touch(key(byte(i), byte(i/255), uint16(i), 4), 10, time.Second)
+	}
+	if tbl.Len() > 16 {
+		t.Errorf("bound lost across Restore: len = %d, want ≤ 16", tbl.Len())
 	}
 }
 
@@ -201,7 +243,7 @@ func TestPropertyTableAccounting(t *testing.T) {
 			wantBytes[k] += uint64(n)
 		}
 		for k, wp := range wantPkts {
-			e, ok := tbl.Lookup(k, time.Hour)
+			e, ok := lookup(tbl, k)
 			if !ok || e.Packets != wp || e.Bytes != wantBytes[k] {
 				return false
 			}

@@ -52,41 +52,57 @@ func (t *Table) shard(k Key) *tableShard {
 }
 
 // Touch records a packet of the given size for key k at virtual time now,
-// creating the entry if needed, and returns the entry. The returned entry
-// must only be mutated while no other goroutine accesses the same key;
-// NFs in this codebase respect that by sharding flows across workers.
+// creating the entry if needed (an entry idle past the TTL is evicted and
+// the flow starts afresh), and returns the entry. The returned entry must
+// only be mutated while no other goroutine accesses the same key; NFs in
+// this codebase respect that by sharding flows across workers.
 func (t *Table) Touch(k Key, size int, now time.Duration) *Entry {
 	s := t.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.m[k]
-	if !ok {
+	e := s.liveLocked(k, now, t.ttl)
+	if e == nil {
 		if t.maxPer > 0 && len(s.m) >= t.maxPer {
 			s.evictOldestLocked()
 		}
 		e = &Entry{Key: k, FirstSeen: now}
 		s.m[k] = e
 	}
-	e.Packets++
-	e.Bytes += uint64(size)
-	e.LastSeen = now
+	e.record(size, now)
 	return e
 }
 
-// Lookup returns the entry for k if present and not expired at now.
-func (t *Table) Lookup(k Key, now time.Duration) (*Entry, bool) {
+// TouchIfPresent is Touch for a flow the table already knows: one lock and
+// one probe record the packet and return the entry. It reports false,
+// creating nothing, when k is absent or idle past the TTL at now — the
+// caller decides whether the flow deserves an entry and calls Touch.
+func (t *Table) TouchIfPresent(k Key, size int, now time.Duration) (*Entry, bool) {
 	s := t.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.m[k]
-	if !ok {
+	e := s.liveLocked(k, now, t.ttl)
+	if e == nil {
 		return nil, false
 	}
-	if t.ttl > 0 && now-e.LastSeen > t.ttl {
-		delete(s.m, k)
-		return nil, false
-	}
+	e.record(size, now)
 	return e, true
+}
+
+// liveLocked returns k's entry, or nil when there is none or it sat idle
+// past ttl at now, in which case it is evicted.
+func (s *tableShard) liveLocked(k Key, now, ttl time.Duration) *Entry {
+	e := s.m[k]
+	if e != nil && ttl > 0 && now-e.LastSeen > ttl {
+		delete(s.m, k)
+		return nil
+	}
+	return e
+}
+
+func (e *Entry) record(size int, now time.Duration) {
+	e.Packets++
+	e.Bytes += uint64(size)
+	e.LastSeen = now
 }
 
 // Delete removes the entry for k, reporting whether it existed.
@@ -163,9 +179,15 @@ func (t *Table) Snapshot() []Entry {
 	return out
 }
 
-// Restore installs entries (e.g. from a migration snapshot), overwriting any
-// existing state for the same keys.
+// Restore replaces the table's contents with entries (e.g. from a migration
+// snapshot). The TTL and bound the table was built with stay in force.
 func (t *Table) Restore(entries []Entry) {
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		clear(s.m)
+		s.mu.Unlock()
+	}
 	for _, e := range entries {
 		cp := e
 		s := t.shard(e.Key)

@@ -1,6 +1,8 @@
 package nf_test
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,9 +27,10 @@ func mkBatch(t *testing.T, synth *traffic.Synth, flows uint64, n, size int) []*n
 
 // TestProcessBatchMatchesSerial feeds the same burst to two fresh instances
 // of every catalog type — one per-packet, one batched — and requires
-// identical verdicts and identical statistics. This pins the hand-written
-// fast paths (Firewall, Monitor, RateLimiter) to the serial semantics and
-// exercises the base adapter for the rest.
+// identical verdicts, identical statistics and identical frame bytes. This
+// pins the hand-written fast paths (Firewall, Logger, Monitor, LoadBalancer,
+// RateLimiter) to the serial semantics and exercises the base adapter for
+// the rest.
 func TestProcessBatchMatchesSerial(t *testing.T) {
 	types := []string{
 		device.TypeFirewall, device.TypeLogger, device.TypeMonitor,
@@ -65,6 +68,16 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 			}
 			if serial.Stats() != batched.Stats() {
 				t.Errorf("stats diverge: serial %v, batch %v", serial.Stats(), batched.Stats())
+			}
+			for i := range sctxs {
+				if !bytes.Equal(sctxs[i].Frame, bctxs[i].Frame) || sctxs[i].Rewritten != bctxs[i].Rewritten {
+					t.Fatalf("packet %d: batch and serial left different frames", i)
+				}
+			}
+			if lg, ok := serial.(*nf.Logger); ok {
+				if !reflect.DeepEqual(lg.Records(), batched.(*nf.Logger).Records()) {
+					t.Error("journals diverge")
+				}
 			}
 		})
 	}
@@ -182,5 +195,17 @@ func TestBatchFastPathAllocs(t *testing.T) {
 	rl.ProcessBatch(ctxs)
 	if n := testing.AllocsPerRun(200, func() { rl.ProcessBatch(ctxs) }); n > 1 {
 		t.Errorf("RateLimiter.ProcessBatch: %.2f allocs/burst, want ≤1", n)
+	}
+	lb, err := nf.NewLoadBalancer("lb", nf.DefaultBackends())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.ProcessBatch(ctxs) // bind every flow
+	if n := testing.AllocsPerRun(200, func() { lb.ProcessBatch(ctxs) }); n > 1 {
+		t.Errorf("LoadBalancer.ProcessBatch: %.2f allocs/burst, want ≤1", n)
+	}
+	lg := nf.NewLogger("log", 4096)
+	if n := testing.AllocsPerRun(200, func() { lg.ProcessBatch(ctxs) }); n > 1 {
+		t.Errorf("Logger.ProcessBatch: %.2f allocs/burst, want ≤1", n)
 	}
 }

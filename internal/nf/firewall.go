@@ -133,83 +133,62 @@ func (f *Firewall) Rules() []Rule {
 // Process implements NF: allow/deny by connection cache, then rule table,
 // then default policy. Non-IPv4 frames pass (the firewall is L3/L4).
 func (f *Firewall) Process(ctx *Ctx) (Verdict, error) {
-	if !ctx.HasFlow {
-		return f.account(VerdictPass, nil)
+	rules, defaultDrop := f.policy()
+	return f.account(f.decide(ctx, rules, defaultDrop), nil)
+}
+
+// ProcessBatch implements the batch fast path: the rule table is read once
+// per burst instead of once per packet, and the four outcome counters are
+// updated once per burst.
+func (f *Firewall) ProcessBatch(ctxs []*Ctx) []Verdict {
+	out := make([]Verdict, len(ctxs))
+	rules, defaultDrop := f.policy()
+	var dropped uint64
+	for i, ctx := range ctxs {
+		if out[i] = f.decide(ctx, rules, defaultDrop); out[i] == VerdictDrop {
+			dropped++
+		}
 	}
-	if _, ok := f.conns.Lookup(ctx.FlowKey.Canonical(), ctx.Now); ok {
-		f.conns.Touch(ctx.FlowKey.Canonical(), len(ctx.Frame), ctx.Now)
-		return f.account(VerdictPass, nil)
-	}
+	f.accountN(uint64(len(ctxs))-dropped, dropped, 0)
+	return out
+}
+
+// policy reads the rule table and default. setRules replaces the slice
+// wholesale, so holding the header outside the lock is safe.
+func (f *Firewall) policy() (rules []Rule, defaultDrop bool) {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.rules, f.defaultDrop
+}
+
+// decide returns one packet's verdict. An established flow costs one walk
+// of the connection cache; a new one is matched against rules and, when
+// allowed, cached.
+func (f *Firewall) decide(ctx *Ctx, rules []Rule, defaultDrop bool) Verdict {
+	if !ctx.HasFlow {
+		return VerdictPass
+	}
+	k := ctx.FlowKey.Canonical()
+	if _, ok := f.conns.TouchIfPresent(k, len(ctx.Frame), ctx.Now); ok {
+		return VerdictPass
+	}
 	verdict := VerdictPass
-	if f.defaultDrop {
+	if defaultDrop {
 		verdict = VerdictDrop
 	}
-	for _, r := range f.rules {
+	for _, r := range rules {
 		if r.Matches(ctx.FlowKey) {
+			verdict = VerdictPass
 			if r.Action == ActionDeny {
 				verdict = VerdictDrop
-			} else {
-				verdict = VerdictPass
 			}
 			break
 		}
 	}
-	f.mu.RUnlock()
 	if verdict == VerdictPass {
-		f.conns.Touch(ctx.FlowKey.Canonical(), len(ctx.Frame), ctx.Now)
+		f.conns.Touch(k, len(ctx.Frame), ctx.Now)
 	}
-	return f.account(verdict, nil)
-}
-
-// ProcessBatch implements the batch fast path: the rule table is read once
-// per burst instead of once per packet (setRules replaces the slice
-// wholesale, so holding the header outside the lock is safe), and the four
-// outcome counters are updated once per burst.
-func (f *Firewall) ProcessBatch(ctxs []*Ctx) []Verdict {
-	out := make([]Verdict, len(ctxs))
-	f.mu.RLock()
-	rules := f.rules
-	defaultDrop := f.defaultDrop
-	f.mu.RUnlock()
-	var passed, dropped uint64
-	for i, ctx := range ctxs {
-		if !ctx.HasFlow {
-			out[i] = VerdictPass
-			passed++
-			continue
-		}
-		k := ctx.FlowKey.Canonical()
-		if _, ok := f.conns.Lookup(k, ctx.Now); ok {
-			f.conns.Touch(k, len(ctx.Frame), ctx.Now)
-			out[i] = VerdictPass
-			passed++
-			continue
-		}
-		verdict := VerdictPass
-		if defaultDrop {
-			verdict = VerdictDrop
-		}
-		for _, r := range rules {
-			if r.Matches(ctx.FlowKey) {
-				if r.Action == ActionDeny {
-					verdict = VerdictDrop
-				} else {
-					verdict = VerdictPass
-				}
-				break
-			}
-		}
-		if verdict == VerdictPass {
-			f.conns.Touch(k, len(ctx.Frame), ctx.Now)
-			passed++
-		} else {
-			dropped++
-		}
-		out[i] = verdict
-	}
-	f.accountN(passed, dropped, 0)
-	return out
+	return verdict
 }
 
 // ConnCount returns the number of cached established connections.
@@ -248,7 +227,6 @@ func (f *Firewall) Restore(data []byte) error {
 	f.mu.Lock()
 	f.defaultDrop = st.DefaultDrop
 	f.mu.Unlock()
-	f.conns = flow.NewTable(0, 1<<16)
 	f.conns.Restore(st.Conns)
 	return nil
 }

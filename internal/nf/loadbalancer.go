@@ -66,24 +66,54 @@ func (lb *LoadBalancer) Backends() []Backend {
 // Process implements NF: bind the flow to a backend (existing binding wins),
 // rewrite the destination IP, and fix checksums.
 func (lb *LoadBalancer) Process(ctx *Ctx) (Verdict, error) {
+	rewrote, err := lb.forward(ctx)
+	if rewrote {
+		lb.rewrites.Inc()
+	}
+	return lb.account(VerdictPass, err)
+}
+
+// ProcessBatch implements the batch fast path: the rewrite and outcome
+// counters are updated once per burst; the binding touch and the rewrite
+// stay per-packet.
+func (lb *LoadBalancer) ProcessBatch(ctxs []*Ctx) []Verdict {
+	out := make([]Verdict, len(ctxs))
+	var rewrites, errs uint64
+	for i, ctx := range ctxs {
+		rewrote, err := lb.forward(ctx)
+		if err != nil {
+			out[i] = VerdictDrop
+			errs++
+		} else if rewrote {
+			rewrites++
+		}
+	}
+	lb.rewrites.Add(rewrites)
+	lb.accountN(uint64(len(ctxs))-errs, 0, errs)
+	return out
+}
+
+// forward steers one packet: an established flow costs one walk of the
+// binding table, a new one a pick and an insert. Non-IPv4 passes untouched
+// (rewrote false); a frame the rewriter refuses is returned unmodified with
+// the error.
+func (lb *LoadBalancer) forward(ctx *Ctx) (rewrote bool, err error) {
 	if !ctx.HasFlow {
-		return lb.account(VerdictPass, nil) // non-IPv4 passes untouched
+		return false, nil
+	}
+	rw, err := packet.NewRewriter(ctx.Frame)
+	if err != nil {
+		return false, fmt.Errorf("loadbalancer %s: %w", lb.name, err)
 	}
 	key := ctx.FlowKey.Canonical()
-	var target packet.IPv4Addr
-	if e, ok := lb.bindings.Lookup(key, ctx.Now); ok {
-		target = e.Value.(packet.IPv4Addr)
-		lb.bindings.Touch(key, len(ctx.Frame), ctx.Now)
-	} else {
-		target = lb.pick(key)
-		e := lb.bindings.Touch(key, len(ctx.Frame), ctx.Now)
-		e.Value = target
+	e, ok := lb.bindings.TouchIfPresent(key, len(ctx.Frame), ctx.Now)
+	if !ok {
+		e = lb.bindings.Touch(key, len(ctx.Frame), ctx.Now)
+		e.Value = lb.pick(key)
 	}
-	if err := rewriteDstIP(ctx.Frame, target); err != nil {
-		return lb.account(VerdictDrop, err)
-	}
-	lb.rewrites.Inc()
-	return lb.account(VerdictPass, nil)
+	rw.SetDstIP(e.Value.(packet.IPv4Addr))
+	ctx.Rewritten = true
+	return true, nil
 }
 
 // pick selects a backend by weighted rendezvous hashing: deterministic for
@@ -116,27 +146,6 @@ func mix(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// rewriteDstIP rewrites the IPv4 destination address in place and fixes the
-// IP and transport checksums.
-func rewriteDstIP(frame []byte, ip packet.IPv4Addr) error {
-	if len(frame) < packet.EthernetHeaderLen+packet.IPv4MinHeaderLen {
-		return fmt.Errorf("loadbalancer: %w", packet.ErrTruncated)
-	}
-	copy(frame[packet.EthernetHeaderLen+16:packet.EthernetHeaderLen+20], ip[:])
-	if err := packet.FixupIPv4Checksum(frame); err != nil {
-		return err
-	}
-	// Transport checksum covers the pseudo-header; best effort for TCP/UDP.
-	if err := packet.FixupTransportChecksum(frame); err != nil {
-		// ICMP and other protocols carry no pseudo-header checksum.
-		if frame[packet.EthernetHeaderLen+9] == byte(packet.ProtoTCP) ||
-			frame[packet.EthernetHeaderLen+9] == byte(packet.ProtoUDP) {
-			return err
-		}
-	}
-	return nil
 }
 
 // lbBinding is the serializable flow→backend pair.
@@ -174,12 +183,12 @@ func (lb *LoadBalancer) Restore(data []byte) error {
 	lb.mu.Lock()
 	lb.backends = st.Backends
 	lb.mu.Unlock()
-	lb.bindings = flow.NewTable(0, 1<<16)
-	for _, b := range st.Bindings {
-		e := b.Entry
-		e.Value = b.IP
-		lb.bindings.Restore([]flow.Entry{e})
+	entries := make([]flow.Entry, len(st.Bindings))
+	for i, b := range st.Bindings {
+		entries[i] = b.Entry
+		entries[i].Value = b.IP
 	}
+	lb.bindings.Restore(entries)
 	return nil
 }
 

@@ -63,31 +63,46 @@ func NewLoggerCapture(name string, capacity, snapLen int) *Logger {
 
 // Process implements NF: journal and pass.
 func (l *Logger) Process(ctx *Ctx) (Verdict, error) {
+	l.mu.Lock()
+	l.journal(ctx)
+	l.mu.Unlock()
+	return l.account(VerdictPass, nil)
+}
+
+// ProcessBatch implements the batch fast path: the ring is locked once and
+// the outcome counters updated once for the whole burst.
+func (l *Logger) ProcessBatch(ctxs []*Ctx) []Verdict {
+	out := make([]Verdict, len(ctxs)) // all VerdictPass
+	l.mu.Lock()
+	for _, ctx := range ctxs {
+		l.journal(ctx)
+	}
+	l.mu.Unlock()
+	l.accountN(uint64(len(ctxs)), 0, 0)
+	return out
+}
+
+// journal appends one record to the ring, overwriting the oldest when full.
+// The caller holds l.mu.
+func (l *Logger) journal(ctx *Ctx) {
 	rec := LogRecord{At: ctx.Now, Size: len(ctx.Frame)}
 	if ctx.HasFlow {
 		rec.Key = ctx.FlowKey
 	}
 	if l.snapLen > 0 {
-		n := len(ctx.Frame)
-		if n > l.snapLen {
-			n = l.snapLen
-		}
-		rec.Frame = make([]byte, n)
-		copy(rec.Frame, ctx.Frame[:n])
+		rec.Frame = make([]byte, min(len(ctx.Frame), l.snapLen))
+		copy(rec.Frame, ctx.Frame)
 	}
-	l.mu.Lock()
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, rec)
-	} else {
-		l.ring[l.next] = rec
-		l.next++
-		if l.next == cap(l.ring) {
-			l.next = 0
-			l.wraps++
-		}
+		return
 	}
-	l.mu.Unlock()
-	return l.account(VerdictPass, nil)
+	l.ring[l.next] = rec
+	l.next++
+	if l.next == cap(l.ring) {
+		l.next = 0
+		l.wraps++
+	}
 }
 
 // Records returns the journal contents in ring order (oldest first).

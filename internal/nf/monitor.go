@@ -133,7 +133,6 @@ func (m *Monitor) Restore(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("monitor %s: restore: %w", m.name, err)
 	}
-	m.flows = flow.NewTable(0, 1<<16)
 	m.flows.Restore(st.Flows)
 	m.mu.Lock()
 	m.totalBytes = st.TotalBytes

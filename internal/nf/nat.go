@@ -2,7 +2,6 @@ package nf
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -49,23 +48,29 @@ func NewNAT(name string, externalIP packet.IPv4Addr, portMin, portMax uint16) (*
 
 // Process implements NF: allocate or reuse a binding, rewrite source
 // IP/port, fix checksums. Non-TCP/UDP IPv4 passes with only the IP
-// rewritten; non-IPv4 passes untouched.
+// rewritten; non-IPv4 passes untouched. A frame the rewriter refuses is
+// dropped unmodified and takes no binding.
 func (n *NAT) Process(ctx *Ctx) (Verdict, error) {
 	if !ctx.HasFlow {
 		return n.account(VerdictPass, nil)
 	}
+	rw, err := packet.NewRewriter(ctx.Frame)
 	hasPorts := ctx.FlowKey.Proto == packet.ProtoTCP || ctx.FlowKey.Proto == packet.ProtoUDP
-	var port uint16
+	if err == nil && hasPorts && !rw.HasPorts() {
+		err = fmt.Errorf("rewrite: %w: flow key is %v, frame is not", packet.ErrUnsupported, ctx.FlowKey.Proto)
+	}
+	if err != nil {
+		return n.account(VerdictDrop, fmt.Errorf("nat %s: %w", n.name, err))
+	}
 	if hasPorts {
-		var err error
-		port, err = n.bind(ctx.FlowKey)
+		port, err := n.bind(ctx.FlowKey)
 		if err != nil {
 			return n.account(VerdictDrop, err)
 		}
+		rw.SetSrcPort(port)
 	}
-	if err := n.rewrite(ctx.Frame, port, hasPorts); err != nil {
-		return n.account(VerdictDrop, err)
-	}
+	rw.SetSrcIP(n.externalIP)
+	ctx.Rewritten = true
 	return n.account(VerdictPass, nil)
 }
 
@@ -90,29 +95,6 @@ func (n *NAT) bind(k flow.Key) (uint16, error) {
 		}
 	}
 	return 0, fmt.Errorf("nat %s: port range exhausted", n.name)
-}
-
-// rewrite updates the source IP (and port when hasPorts) in place.
-func (n *NAT) rewrite(frame []byte, port uint16, hasPorts bool) error {
-	if len(frame) < packet.EthernetHeaderLen+packet.IPv4MinHeaderLen {
-		return fmt.Errorf("nat: %w", packet.ErrTruncated)
-	}
-	ipb := frame[packet.EthernetHeaderLen:]
-	hlen := int(ipb[0]&0x0f) * 4
-	if hlen < packet.IPv4MinHeaderLen || len(ipb) < hlen {
-		return fmt.Errorf("nat: %w", packet.ErrBadHeader)
-	}
-	copy(ipb[12:16], n.externalIP[:])
-	if hasPorts && len(ipb) >= hlen+4 {
-		binary.BigEndian.PutUint16(ipb[hlen:hlen+2], port)
-	}
-	if err := packet.FixupIPv4Checksum(frame); err != nil {
-		return err
-	}
-	if hasPorts {
-		return packet.FixupTransportChecksum(frame)
-	}
-	return nil
 }
 
 // Bindings returns a copy of the active flow→port map.

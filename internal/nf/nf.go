@@ -12,13 +12,17 @@
 //
 // The dataplane contract is batch-granular: the emulator hands each NF a
 // burst of contexts via ProcessBatch, which every NF supports (the embedded
-// base adapter falls back to per-packet Process; Firewall, Monitor and
-// RateLimiter implement hand-written fast paths that amortize locking and
-// accounting across the burst). ConcurrencySafe advertises whether an
-// instance tolerates concurrent ProcessBatch calls from multiple worker
-// shards — true for all built-in NFs, which lock internally — under the
-// proviso that packets of one flow are never processed concurrently (the
-// emulator guarantees this by flow-hash sharding).
+// base adapter falls back to per-packet Process; Firewall, Logger, Monitor,
+// LoadBalancer and RateLimiter implement hand-written fast paths that
+// amortize locking and accounting across the burst). A context is decoded
+// once per ring hop: frames the emulator carries run-to-completion into a
+// same-device successor keep their context, and an NF that rewrites header
+// bytes (LoadBalancer, NAT) sets Ctx.Rewritten so exactly those frames are
+// decoded again before the next NF sees them. ConcurrencySafe advertises
+// whether an instance tolerates concurrent ProcessBatch calls from multiple
+// worker shards — true for all built-in NFs, which lock internally — under
+// the proviso that packets of one flow are never processed concurrently
+// (the emulator guarantees this by flow-hash sharding).
 package nf
 
 import (
@@ -52,15 +56,19 @@ func (v Verdict) String() string {
 }
 
 // Ctx carries one packet through an NF. Frame is the mutable wire frame;
-// Decoder holds its pre-decoded layers (decoded once per chain hop by the
-// runtime, shared by the NFs of a segment); Now is virtual or wall-clock
-// time; FlowKey is the extracted 5-tuple when IPv4.
+// Decoder holds its pre-decoded layers (decoded by the runtime once per
+// ring hop and kept across run-to-completion hops); Now is virtual or
+// wall-clock time; FlowKey is the extracted 5-tuple when IPv4. An NF that
+// changes header bytes of Frame sets Rewritten: Decoder and FlowKey then
+// describe the frame as it arrived, and the runtime decodes it again before
+// the next NF.
 type Ctx struct {
-	Frame   []byte
-	Decoder *packet.Decoder
-	Now     time.Duration
-	FlowKey flow.Key
-	HasFlow bool
+	Frame     []byte
+	Decoder   *packet.Decoder
+	Now       time.Duration
+	FlowKey   flow.Key
+	HasFlow   bool
+	Rewritten bool
 }
 
 // NF is a network function instance. Process and ProcessBatch must be safe
@@ -134,7 +142,7 @@ type base struct {
 
 func newBase(name, typ string) base { return base{name: name, typ: typ} }
 
-// bind registers the embedding NF (so the default ProcessBatch can dispatch
+// attach registers the embedding NF (so the default ProcessBatch can dispatch
 // to its Process) and its concurrency capability. Every constructor calls
 // it once before the instance escapes.
 func (b *base) attach(self NF, concurrent bool) {
@@ -170,7 +178,7 @@ func (b *base) ProcessBatch(ctxs []*Ctx) []Verdict {
 }
 
 // ConcurrencySafe implements NF. The default is false — a new NF must opt
-// in (via bind) after auditing its locking.
+// in (via attach) after auditing its locking.
 func (b *base) ConcurrencySafe() bool { return b.concurrent }
 
 // account records the outcome of one Process call.

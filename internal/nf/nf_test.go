@@ -226,6 +226,41 @@ func TestMonitorSnapshotRestore(t *testing.T) {
 	}
 }
 
+// A migrated monitor keeps the TTL and the bound it was built with: an idle
+// flow still starts afresh and the table still evicts when full.
+func TestMonitorRestoreKeepsTTLAndBound(t *testing.T) {
+	const ttl, maxFlows = 100 * time.Millisecond, 16
+	src, dst := packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{1, 1, 1, 1}
+	mon := nf.NewMonitor("mon", ttl, maxFlows)
+	for i := 0; i < 3; i++ {
+		ctx, _ := mkCtx(t, udpFrame(t, src, dst, 10, 20, nil), 0)
+		mon.Process(ctx)
+	}
+	blob, err := mon.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon2 := nf.NewMonitor("mon", ttl, maxFlows)
+	if err := mon2.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if top := mon2.TopTalkers(1); len(top) != 1 || top[0].Pkts != 3 {
+		t.Fatalf("restored flow = %+v, want 3 packets", top)
+	}
+	ctx, _ := mkCtx(t, udpFrame(t, src, dst, 10, 20, nil), time.Second) // idle ≫ ttl
+	mon2.ProcessBatch([]*nf.Ctx{ctx})
+	if top := mon2.TopTalkers(1); len(top) != 1 || top[0].Pkts != 1 {
+		t.Errorf("flow idle past the TTL was not evicted after Restore: %+v", top)
+	}
+	for i := 0; i < 200; i++ {
+		ctx, _ := mkCtx(t, udpFrame(t, packet.IPv4Addr{10, 1, byte(i), 1}, dst, uint16(1000+i), 20, nil), time.Second)
+		mon2.Process(ctx)
+	}
+	if n := mon2.FlowCount(); n > maxFlows {
+		t.Errorf("restored monitor holds %d flows, bound is %d", n, maxFlows)
+	}
+}
+
 // --- LoadBalancer -----------------------------------------------------------
 
 func TestLoadBalancerStickyRewrite(t *testing.T) {

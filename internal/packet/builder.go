@@ -1,14 +1,11 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Builder assembles complete Ethernet frames front-to-back into a reusable
 // buffer, fixing up length and checksum fields that depend on outer/inner
 // layers. It is the serialization counterpart of Decoder and is used by the
-// traffic generator and by NFs that rewrite packets (NAT).
+// traffic generator; NFs that rewrite a frame in place use Rewriter.
 //
 // A Builder is not safe for concurrent use.
 type Builder struct {
@@ -133,72 +130,4 @@ func (b *Builder) pad(n int) {
 	}
 	b.buf = b.buf[:MinFrameSize]
 	clear(b.buf[n:MinFrameSize])
-}
-
-// FixupIPv4Checksum recomputes the IPv4 header checksum of frame in place.
-// frame must contain an Ethernet+IPv4 stack; it returns an error otherwise.
-// NFs that rewrite IP addresses (e.g. NAT) call this before forwarding.
-func FixupIPv4Checksum(frame []byte) error {
-	if len(frame) < EthernetHeaderLen+IPv4MinHeaderLen {
-		return fmt.Errorf("fixup: %w", ErrTruncated)
-	}
-	if EtherType(binary.BigEndian.Uint16(frame[12:14])) != EtherTypeIPv4 {
-		return fmt.Errorf("fixup: %w: not IPv4", ErrUnsupported)
-	}
-	ipb := frame[EthernetHeaderLen:]
-	hlen := int(ipb[0]&0x0f) * 4
-	if hlen < IPv4MinHeaderLen || hlen > len(ipb) {
-		return fmt.Errorf("fixup: %w: bad IHL", ErrBadHeader)
-	}
-	ipb[10], ipb[11] = 0, 0
-	ck := Checksum(ipb[:hlen])
-	binary.BigEndian.PutUint16(ipb[10:12], ck)
-	return nil
-}
-
-// FixupTransportChecksum recomputes the TCP or UDP checksum of an IPv4 frame
-// in place after header fields were rewritten.
-func FixupTransportChecksum(frame []byte) error {
-	if len(frame) < EthernetHeaderLen+IPv4MinHeaderLen {
-		return fmt.Errorf("fixup: %w", ErrTruncated)
-	}
-	if EtherType(binary.BigEndian.Uint16(frame[12:14])) != EtherTypeIPv4 {
-		return fmt.Errorf("fixup: %w: not IPv4", ErrUnsupported)
-	}
-	ipb := frame[EthernetHeaderLen:]
-	hlen := int(ipb[0]&0x0f) * 4
-	if hlen < IPv4MinHeaderLen || hlen > len(ipb) {
-		return fmt.Errorf("fixup: %w: bad IHL", ErrBadHeader)
-	}
-	totalLen := int(binary.BigEndian.Uint16(ipb[2:4]))
-	if totalLen < hlen || totalLen > len(ipb) {
-		totalLen = len(ipb)
-	}
-	var src, dst IPv4Addr
-	copy(src[:], ipb[12:16])
-	copy(dst[:], ipb[16:20])
-	proto := IPProto(ipb[9])
-	seg := ipb[hlen:totalLen]
-	switch proto {
-	case ProtoTCP:
-		if len(seg) < TCPMinHeaderLen {
-			return fmt.Errorf("fixup: %w: short tcp", ErrTruncated)
-		}
-		seg[16], seg[17] = 0, 0
-		ck := PseudoHeaderChecksum(src, dst, ProtoTCP, seg)
-		binary.BigEndian.PutUint16(seg[16:18], ck)
-	case ProtoUDP:
-		if len(seg) < UDPHeaderLen {
-			return fmt.Errorf("fixup: %w: short udp", ErrTruncated)
-		}
-		seg[6], seg[7] = 0, 0
-		ck := PseudoHeaderChecksum(src, dst, ProtoUDP, seg)
-		if ck == 0 {
-			ck = 0xffff
-		}
-		binary.BigEndian.PutUint16(seg[6:8], ck)
-	default:
-		return fmt.Errorf("fixup: %w: proto %v", ErrUnsupported, proto)
-	}
-	return nil
 }

@@ -57,6 +57,7 @@ type Decoder struct {
 	Payload []byte
 
 	decoded []LayerType
+	has     uint8 // bit lt is set when decoded holds lt
 }
 
 // NewDecoder returns a ready Decoder.
@@ -70,14 +71,14 @@ func NewDecoder() *Decoder {
 // an error. Truncated or malformed headers return an error alongside the
 // layers decoded so far.
 func (d *Decoder) Decode(data []byte) ([]LayerType, error) {
-	d.decoded = d.decoded[:0]
+	d.decoded, d.has = d.decoded[:0], 0
 	d.Payload = nil
 
 	rest, err := d.Eth.Decode(data)
 	if err != nil {
 		return d.decoded, err
 	}
-	d.decoded = append(d.decoded, LayerEthernet)
+	d.add(LayerEthernet)
 
 	var proto IPProto
 	switch d.Eth.Type {
@@ -86,19 +87,19 @@ func (d *Decoder) Decode(data []byte) ([]LayerType, error) {
 		if err != nil {
 			return d.decoded, err
 		}
-		d.decoded = append(d.decoded, LayerIPv4)
+		d.add(LayerIPv4)
 		proto = d.IP4.Protocol
 	case EtherTypeIPv6:
 		rest, err = d.IP6.Decode(rest)
 		if err != nil {
 			return d.decoded, err
 		}
-		d.decoded = append(d.decoded, LayerIPv6)
+		d.add(LayerIPv6)
 		proto = d.IP6.NextHeader
 	default:
 		d.Payload = rest
 		if len(rest) > 0 {
-			d.decoded = append(d.decoded, LayerPayload)
+			d.add(LayerPayload)
 		}
 		return d.decoded, nil
 	}
@@ -109,43 +110,42 @@ func (d *Decoder) Decode(data []byte) ([]LayerType, error) {
 		if err != nil {
 			return d.decoded, err
 		}
-		d.decoded = append(d.decoded, LayerTCP)
+		d.add(LayerTCP)
 	case ProtoUDP:
 		rest, err = d.UDP.Decode(rest)
 		if err != nil {
 			return d.decoded, err
 		}
-		d.decoded = append(d.decoded, LayerUDP)
+		d.add(LayerUDP)
 	case ProtoICMP:
 		rest, err = d.ICMP.Decode(rest)
 		if err != nil {
 			return d.decoded, err
 		}
-		d.decoded = append(d.decoded, LayerICMPv4)
+		d.add(LayerICMPv4)
 	default:
 		d.Payload = rest
 		if len(rest) > 0 {
-			d.decoded = append(d.decoded, LayerPayload)
+			d.add(LayerPayload)
 		}
 		return d.decoded, nil
 	}
 
 	d.Payload = rest
 	if len(rest) > 0 {
-		d.decoded = append(d.decoded, LayerPayload)
+		d.add(LayerPayload)
 	}
 	return d.decoded, nil
 }
 
-// Has reports whether the last Decode produced the given layer.
-func (d *Decoder) Has(lt LayerType) bool {
-	for _, l := range d.decoded {
-		if l == lt {
-			return true
-		}
-	}
-	return false
+// add records lt in the returned list and in the bitmask Has reads.
+func (d *Decoder) add(lt LayerType) {
+	d.decoded = append(d.decoded, lt)
+	d.has |= 1 << lt
 }
+
+// Has reports whether the last Decode produced the given layer.
+func (d *Decoder) Has(lt LayerType) bool { return d.has&(1<<lt) != 0 }
 
 // SrcPort returns the transport source port of the last decoded packet, or
 // 0 when no transport layer was decoded.

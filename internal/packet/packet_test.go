@@ -189,19 +189,80 @@ func TestIPv6RoundTrip(t *testing.T) {
 	}
 }
 
-func TestFixupTransportChecksum(t *testing.T) {
+// Property: UpdateChecksum over a rewritten aligned field equals the full
+// re-sum, for any data, field position and replacement — and a checksum that
+// was off by d before the rewrite is off by d after it.
+func TestPropertyUpdateChecksumMatchesResum(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, 2+r.Intn(1500))
+		r.Read(data)
+		n := 2 * (1 + r.Intn(3)) // 2, 4 or 6 bytes
+		if n > len(data)&^1 {
+			n = 2
+		}
+		off := 2 * r.Intn((len(data)-n)/2+1)
+		to := make([]byte, n)
+		r.Read(to)
+		before := packet.Checksum(data)
+		from := append([]byte(nil), data[off:off+n]...)
+		copy(data[off:], to)
+		after := packet.Checksum(data)
+		if got := packet.UpdateChecksum(before, from, to); onesDiff(got, after) != 0 {
+			t.Logf("seed %d: update %04x, re-sum %04x", seed, got, after)
+			return false
+		}
+		d := uint16(1 + r.Intn(0xfffe))
+		return onesDiff(packet.UpdateChecksum(before+d, from, to), after) == onesDiff(before+d, before)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// onesDiff is a-b in one's-complement arithmetic, with both zeros as 0.
+func onesDiff(a, b uint16) uint16 {
+	return uint16((uint32(a) + 0xffff - uint32(b)%0xffff) % 0xffff)
+}
+
+func TestRewriterRefusesMalformedUntouched(t *testing.T) {
 	b := packet.NewBuilder()
-	frame := append([]byte(nil), b.BuildTCP4(sampleEth(), sampleIP(), packet.TCP{SrcPort: 80, DstPort: 81}, []byte("abc"))...)
-	// Corrupt the destination IP, then fix both checksums.
-	frame[packet.EthernetHeaderLen+16] = 99
-	if err := packet.FixupIPv4Checksum(frame); err != nil {
-		t.Fatal(err)
+	tcp := append([]byte(nil), b.BuildTCP4(sampleEth(), sampleIP(), packet.TCP{SrcPort: 80, DstPort: 81}, []byte("abc"))...)
+	udp := append([]byte(nil), b.BuildUDP4(sampleEth(), sampleIP(), packet.UDP{SrcPort: 5, DstPort: 6}, []byte("abcd"))...)
+	ipOff := packet.EthernetHeaderLen
+	mut := func(src []byte, fn func(f []byte) []byte) []byte { return fn(append([]byte(nil), src...)) }
+	cases := []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"short frame", tcp[:ipOff+packet.IPv4MinHeaderLen-1], packet.ErrTruncated},
+		{"not IPv4", mut(tcp, func(f []byte) []byte { f[12], f[13] = 0x86, 0xdd; return f }), packet.ErrUnsupported},
+		{"IHL below minimum", mut(tcp, func(f []byte) []byte { f[ipOff] = 0x44; return f }), packet.ErrBadHeader},
+		{"IHL beyond frame", mut(tcp, func(f []byte) []byte { f[ipOff] = 0x4f; return f[:ipOff+40] }), packet.ErrBadHeader},
+		{"short tcp", tcp[:ipOff+packet.IPv4MinHeaderLen+packet.TCPMinHeaderLen-1], packet.ErrTruncated},
+		{"short udp", udp[:ipOff+packet.IPv4MinHeaderLen+packet.UDPHeaderLen-1], packet.ErrTruncated},
+		{"short tcp by total length", mut(tcp, func(f []byte) []byte { f[ipOff+2], f[ipOff+3] = 0, 30; return f }), packet.ErrTruncated},
 	}
-	if err := packet.FixupTransportChecksum(frame); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		before := append([]byte(nil), c.frame...)
+		if _, err := packet.NewRewriter(c.frame); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if !bytes.Equal(c.frame, before) {
+			t.Errorf("%s: refused frame was modified", c.name)
+		}
 	}
-	if !packet.VerifyIPv4Checksum(frame[packet.EthernetHeaderLen:]) {
-		t.Error("IP checksum still invalid after fixup")
+	// ICMP has no pseudo-header checksum: accepted, ports absent.
+	icmp := append([]byte(nil), b.BuildICMP4(sampleEth(), sampleIP(), packet.ICMPv4{Type: packet.ICMPEchoRequest}, []byte("ping"))...)
+	rw, err := packet.NewRewriter(icmp)
+	if err != nil || rw.HasPorts() {
+		t.Fatalf("icmp: err=%v hasPorts=%v", err, rw.HasPorts())
+	}
+	body := append([]byte(nil), icmp[ipOff+packet.IPv4MinHeaderLen:]...)
+	rw.SetDstIP(packet.IPv4Addr{9, 9, 9, 9})
+	if !packet.VerifyIPv4Checksum(icmp[ipOff:]) || !bytes.Equal(icmp[ipOff+packet.IPv4MinHeaderLen:], body) {
+		t.Error("icmp: IP checksum invalid or ICMP bytes touched after rewrite")
 	}
 }
 
