@@ -176,12 +176,13 @@ type tenantChain struct {
 	// per-pool-worker cells (cell 0 for writers without a worker identity)
 	// so the tail writers never contend on one counter line.
 	meter        *metrics.ShardedMeter
-	offered      atomic.Uint64 // frames offered at this chain's ingress
 	ingressDrops atomic.Uint64 // SendChain rejections (first queue full)
 
-	// inflight counts this chain's accepted frames still inside the
-	// pipeline — the per-chain slice of Runtime.inFlight. DrainChain polls
-	// it to zero during a cross-server handoff.
+	// inflight counts this chain's admission tickets: one per frame inside
+	// the pipeline, plus any SendChain between taking its ticket and
+	// learning whether the chain admits it. Drain, Close and DrainChain wait
+	// for it to reach zero (see SendChain for why none of them can miss a
+	// frame).
 	inflight atomic.Int64
 	// quiesced closes this chain's ingress: SendChain rejects without
 	// metering, so a chain parked after its tenant migrated away neither
@@ -482,12 +483,10 @@ type Runtime struct {
 	start   time.Time
 	started atomic.Bool
 	closed  atomic.Bool
-	closeMu sync.RWMutex // excludes Send and Migrate against Close
+	closeMu sync.RWMutex // excludes Migrate and the handoff hooks against Close
 
 	frames   *packet.FramePool
 	decoders *packet.DecoderPool
-
-	inFlight sync.WaitGroup
 
 	egress func(chainIdx int, frame []byte) // optional tap for tests
 }
@@ -640,25 +639,29 @@ func (r *Runtime) recycle(frame []byte) {
 // ring publish plus (only when the owning worker is parked) one wake
 // signal: zero allocations in steady state.
 //
+// Admission is ticket-then-check: the sender takes its ticket on the chain's
+// inflight count first and reads started, closed and quiesced second, backing
+// the ticket out on refusal. Close and QuiesceChain do the mirror image —
+// store the flag, then wait for inflight to reach zero — and both sides use
+// sequentially consistent atomics, so either the sender's load sees the flag
+// (the frame is refused) or the waiter's load sees the ticket (the frame is
+// waited for). No lock is taken and no frame can slip between a flag check
+// and its own increment.
+//
 //pam:hotpath
 func (r *Runtime) SendChain(ci int, frame []byte) bool {
-	// The read lock excludes Close: once closed is set under the write
-	// lock, no Send can be past the check below, so Close's Drain cannot
-	// miss an in-flight increment. The deliberate exception to the
-	// hot-path no-locks rule: an RWMutex read lock is one atomic in the
-	// uncontended regime and only ever contends against Close itself.
-	r.closeMu.RLock() //pam:slowpath-ok close-exclusion read lock
-	defer r.closeMu.RUnlock()
-	if !r.started.Load() || r.closed.Load() || ci < 0 || ci >= len(r.chains) {
+	if ci < 0 || ci >= len(r.chains) {
 		return false
 	}
 	tc := r.chains[ci]
-	if tc.quiesced.Load() {
-		// Ingress closed for a cross-server handoff: reject without
-		// metering — these frames belong to the destination server now.
+	tc.inflight.Add(1)
+	if !r.started.Load() || r.closed.Load() || tc.quiesced.Load() {
+		// A quiesced chain's ingress is closed for a cross-server handoff:
+		// rejected without metering — these frames belong to the
+		// destination server now.
+		tc.inflight.Add(-1)
 		return false
 	}
-	tc.offered.Add(1)
 	first := tc.elems[0]
 	// Offered demand is metered before the queue decides: an ingress-dropped
 	// frame still arrived, and the LoadSampler's demand utilization must see
@@ -681,14 +684,11 @@ func (r *Runtime) SendChain(ci int, frame []byte) bool {
 		ingress:  r.now(),
 		crossing: headCPU, // NIC ingress → CPU
 	}
-	r.inFlight.Add(1)
-	tc.inflight.Add(1)
 	s := first.shardFor(j.hash)
 	if s.q.push(j) {
 		s.owner.wakeIfSleeping()
 		return true
 	}
-	r.inFlight.Done()
 	tc.inflight.Add(-1)
 	tc.ingressDrops.Add(1)
 	now := r.now()
@@ -698,11 +698,39 @@ func (r *Runtime) SendChain(ci int, frame []byte) bool {
 	return false
 }
 
-// Drain blocks until every accepted frame has left the pipeline.
-func (r *Runtime) Drain() { r.inFlight.Wait() }
+// Drain blocks until every accepted frame has left the pipeline: every
+// chain's inflight count has been seen at zero. With senders still running
+// that is one instant per chain, not one for the whole runtime.
+func (r *Runtime) Drain() {
+	for _, tc := range r.chains {
+		tc.awaitIdle(time.Time{})
+	}
+}
+
+// awaitIdle waits for the chain's inflight count to reach zero, reporting
+// false if the deadline (none when zero) passes first. The pipeline normally
+// empties within a few bursts, so the wait yields the processor before it
+// falls back to short sleeps.
+func (tc *tenantChain) awaitIdle(deadline time.Time) bool {
+	for spins := 0; tc.inflight.Load() != 0; spins++ {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return false
+		}
+		if spins < 256 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return true
+}
 
 // Close shuts the pipeline down after draining. The runtime cannot be
-// restarted. Safe to call concurrently with SendChain: late sends are rejected.
+// restarted. Safe to call concurrently with SendChain: closed is stored
+// before the drain reads any chain's inflight count, so a send either sees
+// it and is rejected or holds a ticket the drain waits for — every accepted
+// frame is drained before Close returns and none is accepted after. closeMu
+// only makes Close wait out a migration or handoff hook in progress.
 func (r *Runtime) Close() {
 	r.closeMu.Lock()
 	if !r.closed.CompareAndSwap(false, true) {
@@ -897,7 +925,6 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.
 			for i := range jobs {
 				r.recycle(jobs[i].frame)
 			}
-			r.inFlight.Add(-n)
 			el.ch.inflight.Add(int64(-n))
 			return
 		}
@@ -1004,7 +1031,6 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.
 			next.meter.Cell(w.idx+1).DropN(uint64(qdrops), dropNow)
 		}
 		if finished > 0 {
-			r.inFlight.Add(-finished)
 			el.ch.inflight.Add(int64(-finished))
 		}
 		*inline = keep
@@ -1058,7 +1084,6 @@ func (w *worker) egressBatch(el *element, jobs []job, verdicts []nf.Verdict, lat
 	// of vanishing from profiles, and the histogram has no lock-free form.
 	el.ch.latency.RecordBatch(*lats) //pam:slowpath-ok amortized per-burst histogram lock
 	el.ch.meter.Cell(w.idx+1).ObserveN(delivered, deliveredBytes, now)
-	r.inFlight.Add(-len(jobs))
 	el.ch.inflight.Add(int64(-len(jobs)))
 }
 
@@ -1282,7 +1307,7 @@ func (r *Runtime) result(tc *tenantChain) Result {
 	return Result{
 		Chain:         tc.name,
 		Latency:       tc.latency.Snapshot(),
-		Offered:       tc.offered.Load(),
+		Offered:       tc.elems[0].offeredPkts.Load(),
 		Delivered:     tc.meter.Packets(),
 		Dropped:       tc.meter.Drops(),
 		IngressDrops:  tc.ingressDrops.Load(),

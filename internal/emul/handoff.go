@@ -125,6 +125,9 @@ func (r *Runtime) ResumeChain(ci int) error {
 // pipeline, or the timeout expires. The chain must be quiesced first (new
 // arrivals would never let the count settle) and must not be frozen
 // (frozen rings never drain). Other chains keep forwarding throughout.
+// Once it returns nil the chain stays empty: a sender takes its ticket
+// before it reads quiesced (see SendChain), so none can be admitted behind
+// the zero this reads.
 func (r *Runtime) DrainChain(ci int, timeout time.Duration) error {
 	r.closeMu.RLock()
 	tc, err := r.findChain(ci)
@@ -135,12 +138,8 @@ func (r *Runtime) DrainChain(ci int, timeout time.Duration) error {
 	if !tc.quiesced.Load() {
 		return fmt.Errorf("emul: chain %q not quiesced; drain would race ingress", tc.name)
 	}
-	deadline := time.Now().Add(timeout)
-	for tc.inflight.Load() != 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("emul: chain %q drain timeout: %d frames in flight", tc.name, tc.inflight.Load())
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !tc.awaitIdle(time.Now().Add(timeout)) {
+		return fmt.Errorf("emul: chain %q drain timeout: %d frames in flight", tc.name, tc.inflight.Load())
 	}
 	return nil
 }

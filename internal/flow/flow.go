@@ -1,8 +1,15 @@
 // Package flow provides flow identification for the NF dataplane: 5-tuple
 // keys extracted from decoded packets, a symmetric non-cryptographic hash
 // suitable for load balancing (both directions of a connection map to the
-// same value, as in gopacket's FastHash), and a sharded flow table with TTL
-// eviction used by the Monitor, Firewall and LoadBalancer NFs.
+// same value, as in gopacket's FastHash), and the flow table used by the
+// Monitor, Firewall and LoadBalancer NFs.
+//
+// The table is what a frame spends most of its NF time in — three touches
+// on the Figure-1 chain — so a touch is one hash, one lock and one short
+// probe: sixteen mutex stripes (the worker pool and control goroutines use
+// a table at once), each an open-addressed array of {hash, pointer} slots,
+// with lazy TTL expiry and constant-time sampled-LRU eviction at the
+// table's bound. Table documents the design.
 package flow
 
 import (
