@@ -214,15 +214,15 @@ func TestSendCloseRace(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs guards the near-zero-alloc promise of the pooled
-// batch dataplane end to end: after warm-up, pushing a frame through the
-// whole four-element chain costs only its share of the verdict slice each
-// ProcessBatch returns — one per NF per burst, so 4 ÷ 64 = 0.0625 while
-// bursts are full — and nothing per hop or per frame. The bound leaves room
-// for bursts a quarter full. Counted via MemStats because the work happens
-// on worker
-// goroutines (testing.AllocsPerRun only sees the calling goroutine; the
-// per-component guards live in packet and nf).
+// TestSteadyStateAllocs guards the zero-alloc promise of the pooled batch
+// dataplane end to end: after warm-up, pushing a frame through the whole
+// four-element chain allocates nothing per frame, per hop or per burst —
+// all-pass verdicts are a shared slice and buffers recycle by the magazine.
+// What the bound leaves room for is the pool growing when more frames are in
+// flight than the warm-up ever had. Counted via MemStats, per frame:
+// testing.AllocsPerRun would confine the pool workers and the sender to one
+// processor and truncate to whole allocations per run (the per-component
+// guards in packet and nf use it).
 func TestSteadyStateAllocs(t *testing.T) {
 	r := newBatchRuntime(t, emul.Config{
 		Scale:      4, // the gate, not the sender, paces the workers: bursts are full
@@ -249,7 +249,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		r.Drain()
 	}
-	send(4000) // warm up: flow tables, logger ring, conn caches, pools
+	send(12000) // warm up: flow tables, logger ring, conn caches, and a pool as deep as the rings
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -259,10 +259,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perFrame := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("steady-state allocs/frame = %.3f", perFrame)
-	bound := 0.25
-	if raceInstrumented {
-		bound += 0.25
-	}
+	bound := 0.05 + emul.RaceShedAllocs
 	if perFrame > bound {
 		t.Errorf("steady-state allocations regressed: %.3f allocs/frame, want ≤%.2f", perFrame, bound)
 	}

@@ -17,12 +17,17 @@
 // in round-robin, draining up to Config.BatchSize frames per visit. A burst
 // shares one token-bucket transaction, one PCIe propagation charge, and one
 // ProcessBatch call; when the burst's survivors continue to a successor
-// element on the same device whose shard the same worker owns, they are
-// processed run-to-completion in the same visit, with no re-queue hop.
+// element whose shard the same worker owns and whose ring is empty, they are
+// processed run-to-completion in the same visit, with no re-queue hop —
+// across a PCIe crossing too, which the carried burst pays for exactly as a
+// popped one does.
 // Frames are distributed to shards by an RSS-style flow hash, so per-flow
 // FIFO order is preserved end to end. With Config.PoolFrames, delivered and
-// dropped frame buffers are recycled through an internal pool
-// (AcquireFrame), making steady-state emulation nearly allocation-free.
+// dropped frame buffers are recycled into the pool AcquireFrame draws from:
+// each worker fills a 32-buffer magazine of its own and trades it with the
+// pool when full (packet.FramePool), and NF verdicts for a burst without a
+// drop are a shared read-only slice, so steady-state emulation allocates
+// nothing per frame.
 //
 // One runtime hosts N service chains sharing the same emulated SmartNIC and
 // CPU — the multi-tenant setting of a real NFV server. Each chain owns its
@@ -54,7 +59,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/device"
-	"repro/internal/flow"
 	"repro/internal/metrics"
 	"repro/internal/migrate"
 	"repro/internal/nf"
@@ -402,6 +406,13 @@ type worker struct {
 	leaseDev   *deviceGate
 	leaseGen   uint64
 	leaseNanos int64
+
+	// mag is the worker's loaded frame magazine (Config.PoolFrames): finished
+	// frames' buffers are stored into it with no synchronization and it is
+	// traded for an empty one when full. Owned by the worker goroutine, which
+	// flushes it to the pool before parking and on exit so that no buffer
+	// idles out of AcquireFrame's (and the collector's) reach.
+	mag *packet.Magazine
 }
 
 // charge admits a burst of cost device-seconds against dev: first from the
@@ -625,10 +636,23 @@ func (r *Runtime) now() time.Duration { return time.Since(r.start) }
 // AcquireFrame allocates nothing.
 func (r *Runtime) AcquireFrame(n int) []byte { return r.frames.Get(n) }
 
-// recycle returns a finished frame's buffer to the pool when pooling is on.
-func (r *Runtime) recycle(frame []byte) {
-	if r.cfg.PoolFrames {
-		r.frames.Put(frame)
+// recycle returns a finished frame's buffer to the pool when pooling is on:
+// a store into the worker's own magazine, and one trade with the pool per
+// full magazine.
+func (w *worker) recycle(frame []byte) {
+	if !w.r.cfg.PoolFrames {
+		return
+	}
+	if !w.mag.Put(frame) {
+		w.mag = w.r.frames.Exchange(w.mag)
+		w.mag.Put(frame)
+	}
+}
+
+// flushFrames hands the buffers in the worker's magazine to the pool.
+func (w *worker) flushFrames() {
+	if w.mag != nil {
+		w.mag = w.r.frames.Exchange(w.mag)
 	}
 }
 
@@ -775,7 +799,12 @@ func (w *worker) run() {
 		ctxs[i].Decoder = r.decoders.Get()
 		ptrs[i] = &ctxs[i]
 	}
-	defer w.releaseLease() // worker exit returns any banked device budget
+	// Worker exit returns any banked device budget and every recycled buffer.
+	defer w.releaseLease()
+	defer func() {
+		w.flushFrames()
+		w.mag = nil
+	}()
 	defer func() {
 		for i := range ctxs {
 			r.decoders.Put(ctxs[i].Decoder)
@@ -816,9 +845,12 @@ func (w *worker) loop(jobs, inline []job, ctxs []nf.Ctx, ptrs []*nf.Ctx, lats []
 		if did {
 			continue
 		}
-		// Park. The order is load-bearing: set sleeping, then re-check for
-		// work published before the flag flip — producers publish first and
-		// read sleeping second, so one side always sees the other.
+		// Park, with nothing kept back: a sender that wakes this worker must
+		// find the buffers it recycled. The order is load-bearing: set
+		// sleeping, then re-check for work published before the flag flip —
+		// producers publish first and read sleeping second, so one side
+		// always sees the other.
+		w.flushFrames()
 		w.sleeping.Store(true)
 		if w.anyWork() {
 			w.sleeping.Store(false)
@@ -880,12 +912,15 @@ func (w *worker) ackPause(req *pauseReq) {
 // processBurst runs one burst through an element's NF and forwards it:
 // one gate transaction, one PCIe propagation charge, one ProcessBatch call
 // and batched metering for the whole burst. Survivors whose successor
-// element is on the same device, in a shard this worker owns, and whose
-// ring is empty are processed run-to-completion in the same visit — the
-// loop continues with the successor instead of paying a re-queue hop. PCIe
-// crossings, foreign-owner shards and frozen or backlogged successors
-// enqueue to the destination ring, so gate charging always happens where
-// the frames are consumed.
+// element sits in a shard this worker owns, unpaused and with an empty
+// ring, are processed run-to-completion in the same visit — the loop
+// continues with the successor instead of paying a re-queue hop. That
+// includes a successor on the other device: the carried jobs are marked
+// crossing, so the top of the loop charges them to the DMA gate (and sleeps
+// the SleepPCIe floor) and to the successor's device gate exactly as it
+// would a burst popped from the ring. Foreign-owner shards and frozen or
+// backlogged successors enqueue to the destination ring; either way gate
+// charging happens where the frames are consumed.
 //
 // A frame is decoded and keyed once per ring hop: ctxs[i] belongs to
 // jobs[i] (ptrs[i] points at it, each owning one decoder), and a survivor
@@ -923,7 +958,7 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.
 			el.meter.Cell(w.idx+1).DropN(uint64(n), dropNow)
 			el.ch.meter.Cell(w.idx+1).DropN(uint64(n), dropNow)
 			for i := range jobs {
-				r.recycle(jobs[i].frame)
+				w.recycle(jobs[i].frame)
 			}
 			el.ch.inflight.Add(int64(-n))
 			return
@@ -959,7 +994,7 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.
 			// frame error path formats, which NFs tolerate and never hit in
 			// steady state.
 			_, _ = c.Decoder.Decode(c.Frame) //pam:slowpath-ok decode error path formats
-			c.FlowKey, c.HasFlow = flow.FromDecoder(c.Decoder)
+			c.HasFlow = c.FlowKey.Fill(c.Decoder)
 		}
 		inst := *el.inst.Load()
 		verdicts := inst.ProcessBatch(ptrs[:n])
@@ -985,11 +1020,11 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.
 				fwdPkts++
 				fwdBytes += uint64(len(j.frame))
 				ns := next.shardFor(j.hash)
-				// Run-to-completion: a same-device successor in a shard this
-				// worker owns is processed in this visit — but only when its
-				// ring is empty, so a frame buffered there (across a freeze,
-				// say) can never be overtaken by a newer frame of its flow.
-				if !crossingNext && ns.owner == w && !next.paused.Load() && ns.q.empty() {
+				// Run-to-completion: a successor in a shard this worker owns is
+				// processed in this visit — but only when its ring is empty,
+				// so a frame buffered there (across a freeze, say) can never
+				// be overtaken by a newer frame of its flow.
+				if ns.owner == w && !next.paused.Load() && ns.q.empty() {
 					// The context travels with the frame: slot len(keep) ≤ i
 					// holds a frame that is not continuing, so swapping
 					// compacts the contexts exactly as keep compacts the jobs.
@@ -1009,7 +1044,7 @@ func (w *worker) processBurst(el *element, jobs []job, inline *[]job, ctxs []nf.
 				qdrops++
 			}
 			finished++
-			r.recycle(jobs[i].frame)
+			w.recycle(jobs[i].frame)
 		}
 		if fwdPkts > 0 {
 			next.offeredPkts.Add(fwdPkts)
@@ -1078,7 +1113,7 @@ func (w *worker) egressBatch(el *element, jobs []job, verdicts []nf.Verdict, lat
 				r.egress(el.ch.idx, jobs[i].frame)
 			}
 		}
-		r.recycle(jobs[i].frame)
+		w.recycle(jobs[i].frame)
 	}
 	// One histogram lock per burst, not per frame: amortized to the point
 	// of vanishing from profiles, and the histogram has no lock-free form.

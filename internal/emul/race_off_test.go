@@ -1,6 +1,6 @@
 //go:build !race
 
-package emul_test
+package emul
 
-// raceInstrumented is false in regular builds — see race_on_test.go.
-const raceInstrumented = false
+// RaceShedAllocs is zero in regular builds — see race_on_test.go.
+const RaceShedAllocs = 0

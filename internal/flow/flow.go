@@ -56,19 +56,29 @@ func (k Key) Canonical() Key {
 
 func less(a, b packet.IPv4Addr) bool { return a.Uint32() < b.Uint32() }
 
-// FromDecoder extracts the flow key from the most recent Decode of d. ok is
-// false when the packet has no IPv4 layer. Non-TCP/UDP packets produce a key
-// with zero ports.
-func FromDecoder(d *packet.Decoder) (k Key, ok bool) {
+// Fill sets k to the flow key of the most recent Decode of d and reports
+// whether the packet has an IPv4 layer; without one k becomes the zero key.
+// Non-TCP/UDP packets produce a key with zero ports. Writing the fields
+// through the pointer puts the key where it will be read: returning the
+// 13-byte struct by value assembles it on the stack a byte and a halfword at
+// a time and reloads it in words, a store-forwarding stall per frame.
+func (k *Key) Fill(d *packet.Decoder) bool {
 	if !d.Has(packet.LayerIPv4) {
-		return Key{}, false
+		*k = Key{}
+		return false
 	}
 	k.SrcIP = d.IP4.Src
 	k.DstIP = d.IP4.Dst
 	k.Proto = d.IP4.Protocol
 	k.SrcPort = d.SrcPort()
 	k.DstPort = d.DstPort()
-	return k, true
+	return true
+}
+
+// FromDecoder returns the key Fill extracts from d.
+func FromDecoder(d *packet.Decoder) (k Key, ok bool) {
+	ok = k.Fill(d)
+	return k, ok
 }
 
 // fnv-1a constants (64-bit).

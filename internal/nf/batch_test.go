@@ -175,37 +175,94 @@ func TestRateLimiterBatchSplitsBurst(t *testing.T) {
 	}
 }
 
-// TestBatchFastPathAllocs: the hand-written fast paths may allocate only
-// the returned verdict slice (1 alloc per burst), nothing per packet.
+// TestBatchFastPathAllocs: a burst in which every frame passes allocates
+// nothing — its verdicts are a window of the shared all-pass array — on the
+// five hand-written fast paths and on the base adapter's serial fallback;
+// a burst with one deny allocates exactly its private verdict slice.
 func TestBatchFastPathAllocs(t *testing.T) {
 	synth := traffic.NewSynth(8, 5)
 	ctxs := mkBatch(t, synth, 8, 64, 512)
 
-	fw := nf.NewFirewall("fw", nf.DefaultFirewallRules(), false)
-	fw.ProcessBatch(ctxs) // warm the connection cache
-	if n := testing.AllocsPerRun(200, func() { fw.ProcessBatch(ctxs) }); n > 1 {
-		t.Errorf("Firewall.ProcessBatch: %.2f allocs/burst, want ≤1", n)
-	}
-	mon := nf.NewMonitor("mon", 0, 1<<16)
-	mon.ProcessBatch(ctxs)
-	if n := testing.AllocsPerRun(200, func() { mon.ProcessBatch(ctxs) }); n > 1 {
-		t.Errorf("Monitor.ProcessBatch: %.2f allocs/burst, want ≤1", n)
-	}
-	rl := nf.NewRateLimiter("rl", 1000, 0) // high rate: all pass, no map growth
-	rl.ProcessBatch(ctxs)
-	if n := testing.AllocsPerRun(200, func() { rl.ProcessBatch(ctxs) }); n > 1 {
-		t.Errorf("RateLimiter.ProcessBatch: %.2f allocs/burst, want ≤1", n)
-	}
 	lb, err := nf.NewLoadBalancer("lb", nf.DefaultBackends())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb.ProcessBatch(ctxs) // bind every flow
-	if n := testing.AllocsPerRun(200, func() { lb.ProcessBatch(ctxs) }); n > 1 {
-		t.Errorf("LoadBalancer.ProcessBatch: %.2f allocs/burst, want ≤1", n)
+	dpi, err := nf.New("dpi", device.TypeDPI) // no fast path: base.ProcessBatch
+	if err != nil {
+		t.Fatal(err)
 	}
-	lg := nf.NewLogger("log", 4096)
-	if n := testing.AllocsPerRun(200, func() { lg.ProcessBatch(ctxs) }); n > 1 {
-		t.Errorf("Logger.ProcessBatch: %.2f allocs/burst, want ≤1", n)
+	for _, inst := range []nf.NF{
+		nf.NewFirewall("fw", nf.DefaultFirewallRules(), false),
+		nf.NewMonitor("mon", 0, 1<<16),
+		nf.NewRateLimiter("rl", 1000, 0), // high rate: all pass, no map growth
+		lb,
+		nf.NewLogger("log", 4096),
+		dpi,
+	} {
+		inst.ProcessBatch(ctxs) // warm: connection cache, flow table, bindings
+		if n := testing.AllocsPerRun(200, func() { inst.ProcessBatch(ctxs) }); n != 0 {
+			t.Errorf("%s.ProcessBatch, all pass: %.2f allocs/burst, want 0", inst.Type(), n)
+		}
+	}
+
+	deny := nf.NewFirewall("fw-deny", []nf.Rule{
+		{Priority: 1, AnyProto: true, SrcIP: ctxs[5].FlowKey.SrcIP, SrcBits: 32, Action: nf.ActionDeny},
+	}, false)
+	one := ctxs[:8] // one frame of each of the 8 flows: exactly one denied
+	if n := testing.AllocsPerRun(200, func() { deny.ProcessBatch(one) }); n != 1 {
+		t.Errorf("Firewall.ProcessBatch, one deny: %.2f allocs/burst, want 1", n)
+	}
+}
+
+// TestVerdictsCopyOnDrop: all-pass bursts share one read-only array; a burst
+// with a drop gets a slice of its own whose other entries still say pass,
+// and a burst longer than the shared array is still correct. That no drop
+// was written through to the shared array is TestMain's check.
+func TestVerdictsCopyOnDrop(t *testing.T) {
+	synth := traffic.NewSynth(8, 5)
+	ctxs := mkBatch(t, synth, 8, 300, 256) // longer than the 256-entry shared array
+	burst := ctxs[:32]
+
+	shared := nf.NewMonitor("mon", 0, 1<<16).ProcessBatch(burst)
+	if again := nf.NewLogger("log", 64).ProcessBatch(burst); &again[0] != &shared[0] {
+		t.Fatal("two all-pass bursts do not share their verdicts: the shared array is not in use")
+	}
+	if cap(shared) != len(burst) {
+		t.Errorf("shared verdicts have cap %d, want %d: an append could write the shared array", cap(shared), len(burst))
+	}
+
+	denied := ctxs[5].FlowKey.SrcIP
+	fw := nf.NewFirewall("fw", []nf.Rule{
+		{Priority: 1, AnyProto: true, SrcIP: denied, SrcBits: 32, Action: nf.ActionDeny},
+	}, false)
+	check := func(ctxs []*nf.Ctx) {
+		t.Helper()
+		got := fw.ProcessBatch(ctxs)
+		if len(got) != len(ctxs) {
+			t.Fatalf("%d verdicts for %d contexts", len(got), len(ctxs))
+		}
+		if &got[0] == &shared[0] {
+			t.Fatal("a burst with a drop aliases the shared all-pass array")
+		}
+		for i, v := range got {
+			want := nf.VerdictPass
+			if ctxs[i].FlowKey.SrcIP == denied {
+				want = nf.VerdictDrop
+			}
+			if v != want {
+				t.Errorf("packet %d of %d: %v, want %v", i, len(ctxs), v, want)
+			}
+		}
+	}
+	check(burst)
+	check(ctxs)
+	long := nf.NewMonitor("mon-long", 0, 1<<16).ProcessBatch(ctxs)
+	if len(long) != len(ctxs) {
+		t.Fatalf("%d verdicts for a %d-context burst", len(long), len(ctxs))
+	}
+	for i, v := range long {
+		if v != nf.VerdictPass {
+			t.Fatalf("long burst, packet %d: %v, want pass", i, v)
+		}
 	}
 }

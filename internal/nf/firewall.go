@@ -141,11 +141,12 @@ func (f *Firewall) Process(ctx *Ctx) (Verdict, error) {
 // per burst instead of once per packet, and the four outcome counters are
 // updated once per burst.
 func (f *Firewall) ProcessBatch(ctxs []*Ctx) []Verdict {
-	out := make([]Verdict, len(ctxs))
+	out := passAll(len(ctxs))
 	rules, defaultDrop := f.policy()
 	var dropped uint64
 	for i, ctx := range ctxs {
-		if out[i] = f.decide(ctx, rules, defaultDrop); out[i] == VerdictDrop {
+		if f.decide(ctx, rules, defaultDrop) == VerdictDrop {
+			out = setVerdict(out, i, VerdictDrop)
 			dropped++
 		}
 	}

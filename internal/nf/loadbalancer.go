@@ -77,12 +77,12 @@ func (lb *LoadBalancer) Process(ctx *Ctx) (Verdict, error) {
 // counters are updated once per burst; the binding touch and the rewrite
 // stay per-packet.
 func (lb *LoadBalancer) ProcessBatch(ctxs []*Ctx) []Verdict {
-	out := make([]Verdict, len(ctxs))
+	out := passAll(len(ctxs))
 	var rewrites, errs uint64
 	for i, ctx := range ctxs {
 		rewrote, err := lb.forward(ctx)
 		if err != nil {
-			out[i] = VerdictDrop
+			out = setVerdict(out, i, VerdictDrop)
 			errs++
 		} else if rewrote {
 			rewrites++

@@ -52,21 +52,19 @@ func (m *Monitor) Process(ctx *Ctx) (Verdict, error) {
 // counters once per burst; only the sharded flow-table touch stays
 // per-packet.
 func (m *Monitor) ProcessBatch(ctxs []*Ctx) []Verdict {
-	out := make([]Verdict, len(ctxs))
 	var burstBytes uint64
-	for i, ctx := range ctxs {
+	for _, ctx := range ctxs {
 		burstBytes += uint64(len(ctx.Frame))
 		if ctx.HasFlow {
 			m.flows.Touch(ctx.FlowKey, len(ctx.Frame), ctx.Now)
 		}
-		out[i] = VerdictPass
 	}
 	m.mu.Lock()
 	m.totalPkts += uint64(len(ctxs))
 	m.totalBytes += burstBytes
 	m.mu.Unlock()
 	m.accountN(uint64(len(ctxs)), 0, 0)
-	return out
+	return passAll(len(ctxs))
 }
 
 // FlowCount returns the number of tracked flows.

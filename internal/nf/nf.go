@@ -14,15 +14,22 @@
 // burst of contexts via ProcessBatch, which every NF supports (the embedded
 // base adapter falls back to per-packet Process; Firewall, Logger, Monitor,
 // LoadBalancer and RateLimiter implement hand-written fast paths that
-// amortize locking and accounting across the burst). A context is decoded
-// once per ring hop: frames the emulator carries run-to-completion into a
-// same-device successor keep their context, and an NF that rewrites header
-// bytes (LoadBalancer, NAT) sets Ctx.Rewritten so exactly those frames are
-// decoded again before the next NF sees them. ConcurrencySafe advertises
-// whether an instance tolerates concurrent ProcessBatch calls from multiple
-// worker shards — true for all built-in NFs, which lock internally — under
-// the proviso that packets of one flow are never processed concurrently
-// (the emulator guarantees this by flow-hash sharding).
+// amortize locking and accounting across the burst). The verdicts it returns
+// are read-only and copy-on-drop: VerdictPass is the zero value, so a burst
+// in which every frame passes — the steady state of every NF here — returns
+// a window of one shared all-pass array and allocates nothing, and the first
+// non-pass verdict of a burst moves that burst to a private slice (passAll,
+// setVerdict).
+//
+// A context is decoded once per ring hop: frames the emulator carries
+// run-to-completion into a successor keep their context, and an NF that
+// rewrites header bytes (LoadBalancer, NAT) sets Ctx.Rewritten so exactly
+// those frames are decoded again before the next NF sees them.
+// ConcurrencySafe advertises whether an instance tolerates concurrent
+// ProcessBatch calls from multiple worker shards — true for all built-in
+// NFs, which lock internally — under the proviso that packets of one flow
+// are never processed concurrently (the emulator guarantees this by
+// flow-hash sharding).
 package nf
 
 import (
@@ -88,7 +95,10 @@ type NF interface {
 	// context, in order. It is the hot path of the batched dataplane:
 	// implementations amortize locks and counters across the burst where
 	// they can, and fall back to per-packet Process (via the base adapter)
-	// where they can't. The returned slice is owned by the caller.
+	// where they can't. The returned slice is read-only to the caller and
+	// may be shared between calls: an all-pass burst is a window of one
+	// package-level array, and only a burst with a non-pass verdict gets a
+	// slice of its own.
 	ProcessBatch(ctxs []*Ctx) []Verdict
 	// ConcurrencySafe reports whether the instance tolerates concurrent
 	// Process/ProcessBatch calls from multiple dataplane shards, provided
@@ -170,10 +180,41 @@ func (b *base) Stats() Stats {
 // context. NFs with a profitable amortization (batched locking, batched
 // accounting) shadow this method.
 func (b *base) ProcessBatch(ctxs []*Ctx) []Verdict {
-	out := make([]Verdict, len(ctxs))
+	out := passAll(len(ctxs))
 	for i, ctx := range ctxs {
-		out[i], _ = b.self.Process(ctx)
+		v, _ := b.self.Process(ctx)
+		out = setVerdict(out, i, v)
 	}
+	return out
+}
+
+// allPass backs the verdicts of every burst in which all frames pass.
+// Nothing writes to it: setVerdict copies before the first write, and
+// callers of ProcessBatch only read.
+var allPass [256]Verdict
+
+// passAll returns n pass verdicts: a window of allPass, capped so an append
+// cannot reach the shared array either, or a private slice for a burst
+// longer than it.
+func passAll(n int) []Verdict {
+	if n > len(allPass) {
+		return make([]Verdict, n)
+	}
+	return allPass[:n:n]
+}
+
+// setVerdict records v for packet i of a burst whose verdicts began as
+// passAll. Pass is what the slice already says; the first other verdict
+// moves the burst off the shared array — every entry so far is pass, so the
+// copy is a fresh zeroed slice.
+func setVerdict(out []Verdict, i int, v Verdict) []Verdict {
+	if v == VerdictPass {
+		return out
+	}
+	if &out[0] == &allPass[0] {
+		out = make([]Verdict, len(out))
+	}
+	out[i] = v
 	return out
 }
 

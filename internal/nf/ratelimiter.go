@@ -106,13 +106,13 @@ func (rl *RateLimiter) Process(ctx *Ctx) (Verdict, error) {
 // each frame spends its own tokens, so a burst can be split mid-way when
 // the bucket runs dry.
 func (rl *RateLimiter) ProcessBatch(ctxs []*Ctx) []Verdict {
-	out := make([]Verdict, len(ctxs))
+	out := passAll(len(ctxs))
 	var passed, dropped uint64
 	rl.mu.Lock()
 	for i, ctx := range ctxs {
 		n := len(ctx.Frame)
 		if rl.globalRate > 0 && !rl.global.take(n, ctx.Now, rl.globalRate, rl.globalBurst) {
-			out[i] = VerdictDrop
+			out = setVerdict(out, i, VerdictDrop)
 			dropped++
 			continue
 		}
@@ -123,12 +123,11 @@ func (rl *RateLimiter) ProcessBatch(ctxs []*Ctx) []Verdict {
 				rl.flows[ctx.FlowKey] = b
 			}
 			if !b.take(n, ctx.Now, rl.perFlowRate, rl.perFlowBurst) {
-				out[i] = VerdictDrop
+				out = setVerdict(out, i, VerdictDrop)
 				dropped++
 				continue
 			}
 		}
-		out[i] = VerdictPass
 		passed++
 	}
 	rl.mu.Unlock()

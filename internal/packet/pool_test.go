@@ -1,7 +1,10 @@
 package packet_test
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/packet"
 	"repro/internal/traffic"
@@ -42,6 +45,164 @@ func TestFramePoolSizes(t *testing.T) {
 	if cap(got) < packet.MaxFrameSize {
 		t.Fatalf("undersized buffer leaked into pool: cap=%d", cap(got))
 	}
+}
+
+// TestMagazineExchange walks one owner's magazine through the trades it
+// makes with the pool: its first (nil), a full one, a partial one on a
+// flush, and an empty one, which comes straight back.
+func TestMagazineExchange(t *testing.T) {
+	fp := packet.NewFramePool()
+	var none *packet.Magazine
+	if none.Put(make([]byte, packet.MaxFrameSize)) {
+		t.Fatal("a nil magazine accepted a buffer")
+	}
+	if !none.Put(make([]byte, 10)) {
+		t.Error("an undersized buffer must be ignored, not trigger an exchange")
+	}
+	m := fp.Exchange(nil)
+	if m == nil {
+		t.Fatal("Exchange(nil) returned no magazine")
+	}
+	if again := fp.Exchange(m); again != m {
+		t.Error("an empty magazine did not come straight back")
+	}
+	put := 0
+	for m.Put(make([]byte, packet.MaxFrameSize)) {
+		if put++; put > 1000 {
+			t.Fatal("magazine never fills")
+		}
+	}
+	if put != 32 {
+		t.Errorf("magazine took %d buffers, want 32", put)
+	}
+	m.Put(make([]byte, 10)) // ignored even when full
+	full := m
+	if m = fp.Exchange(full); m == nil || m == full {
+		t.Fatal("a full magazine was not traded for another")
+	}
+	for i := 0; i < 5; i++ {
+		if !m.Put(make([]byte, packet.MaxFrameSize)) {
+			t.Fatalf("traded magazine is not empty: refused buffer %d", i)
+		}
+	}
+	partial := m
+	if m = fp.Exchange(partial); m == nil || m == partial {
+		t.Fatal("a partial magazine was not traded for another")
+	}
+	for i := 0; i < 32; i++ {
+		if !m.Put(make([]byte, packet.MaxFrameSize)) {
+			t.Fatalf("magazine traded on a flush is not empty: refused buffer %d of 32", i)
+		}
+	}
+}
+
+// TestFramePoolOneHolderPerBuffer drives the pool from all three kinds of
+// caller at once — anonymous getters, anonymous putters and magazine owners
+// trading with Exchange — and has every buffer carry its current holder's
+// stamp: no buffer is ever handed to a second holder while the first still
+// has it, none comes back shorter than a full frame, and undersized or
+// oversized traffic never enters the pool. Meant for -race -count=10, where
+// two holders of one buffer are also a reported data race.
+func TestFramePoolOneHolderPerBuffer(t *testing.T) {
+	const getters, putters, owners, perGetter = 3, 2, 2, 4000
+	fp := packet.NewFramePool()
+	var held sync.Map // *byte (a buffer's first byte) → the getter holding it
+	type handoff struct {
+		buf  []byte
+		from byte
+	}
+	ch := make(chan handoff, 64) // a short queue of buffers in flight between holders
+
+	var producers sync.WaitGroup
+	for g := 0; g < getters; g++ {
+		producers.Add(1)
+		go func(id byte) {
+			defer producers.Done()
+			for i := 0; i < perGetter; i++ {
+				n := 1 + (i*37+int(id))%packet.MaxFrameSize
+				b := fp.Get(n)
+				if len(b) != n || cap(b) < packet.MaxFrameSize {
+					t.Errorf("Get(%d): len=%d cap=%d", n, len(b), cap(b))
+					return
+				}
+				if prev, dup := held.LoadOrStore(&b[0], id); dup {
+					t.Errorf("buffer handed to getter %d while getter %d holds it", id, prev)
+					return
+				}
+				b[0], b[n-1] = id, id
+				ch <- handoff{b, id}
+				if i%64 == 0 {
+					if big := fp.Get(packet.MaxFrameSize + 1 + i%100); len(big) != packet.MaxFrameSize+1+i%100 || cap(big) != len(big) {
+						t.Errorf("oversize Get: len=%d cap=%d", len(big), cap(big))
+					}
+				}
+			}
+		}(byte(g + 1))
+	}
+	release := func(h handoff) []byte {
+		if h.buf[0] != h.from || h.buf[len(h.buf)-1] != h.from {
+			t.Errorf("buffer from getter %d was written by another holder", h.from)
+		}
+		held.Delete(&h.buf[0])
+		return h.buf
+	}
+	var consumers sync.WaitGroup
+	for p := 0; p < putters; p++ {
+		consumers.Add(1)
+		go func() {
+			defer consumers.Done()
+			for h := range ch {
+				fp.Put(release(h))
+				fp.Put(make([]byte, 64)) // undersized: must never come back out of Get
+			}
+		}()
+	}
+	for w := 0; w < owners; w++ {
+		consumers.Add(1)
+		go func() {
+			defer consumers.Done()
+			var mag *packet.Magazine
+			for h := range ch {
+				b := release(h)
+				if !mag.Put(b) {
+					mag = fp.Exchange(mag)
+					if !mag.Put(b) {
+						t.Error("a freshly exchanged magazine refused a buffer")
+						return
+					}
+				}
+				mag.Put(make([]byte, 64)) // undersized: ignored
+			}
+			fp.Exchange(mag)
+		}()
+	}
+	producers.Wait()
+	close(ch)
+	consumers.Wait()
+}
+
+// TestFramePoolTrimmedByGC: buffers idling in the pool are released by the
+// collector — the depot is a sync.Pool, emptied over two collections — while
+// the pool itself stays alive. A depot that pinned its high-water mark would
+// leave the finalizer unrun.
+func TestFramePoolTrimmedByGC(t *testing.T) {
+	fp := packet.NewFramePool()
+	released := make(chan struct{})
+	func() {
+		arr := new([packet.MaxFrameSize]byte)
+		runtime.SetFinalizer(arr, func(*[packet.MaxFrameSize]byte) { close(released) })
+		m := fp.Exchange(nil)
+		m.Put(arr[:])
+		fp.Exchange(m) // the flush of an owner going idle
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-released:
+	case <-time.After(10 * time.Second):
+		t.Error("a buffer idle in the pool survived two collections")
+	}
+	runtime.KeepAlive(fp)
 }
 
 func TestFlowHashConsistency(t *testing.T) {

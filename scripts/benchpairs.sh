@@ -2,13 +2,15 @@
 # benchpairs.sh — paired runs of the repo benchmark on a parent commit and on
 # the working tree, judged by the rule a performance claim has to meet.
 #
-#	./scripts/benchpairs.sh <parent-ref> <workload> <pairs> [seconds]
+#	./scripts/benchpairs.sh <parent-ref> <workload>|all <pairs> [seconds]
 #
 # Builds bench/ of <parent-ref> (from a `git archive` of it, so no checkout
 # or worktree is left behind) and of the working tree, then runs <pairs>
 # interleaved pairs of <workload>: the side that goes first alternates and
 # every pair has its own seed (BENCHPAIRS_SEED + pair number, default base
 # 100), so neither ordering nor one generated input decides the result.
+# `all` runs every contract workload of BENCHMARK.json in turn, each with
+# its own interleaved pairs, and ends with one table of the verdicts.
 # [seconds] defaults to run_seconds in BENCHMARK.json — the length the
 # bounds were sized at; shorter runs are for trying things, not for claims.
 #
@@ -23,11 +25,14 @@
 # at the end, for the record the claim cites.
 set -eu
 if [ $# -lt 3 ]; then
-	echo "usage: $0 <parent-ref> <workload> <pairs> [seconds]" >&2
+	echo "usage: $0 <parent-ref> <workload>|all <pairs> [seconds]" >&2
 	exit 2
 fi
-ref="$1" workload="$2" pairs="$3"
+ref="$1" workloads="$2" pairs="$3"
 root="$(git rev-parse --show-toplevel)"
+if [ "$workloads" = all ]; then
+	workloads="$(awk -F'"' '/"workloads"/ { on = 1 } on && /"name"/ { print $4 }' "$root/BENCHMARK.json")"
+fi
 seconds="${4:-$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' "$root/BENCHMARK.json")}"
 base="${BENCHPAIRS_SEED:-100}"
 work="$(mktemp -d "${TMPDIR:-/tmp}/benchpairs.XXXXXX")"
@@ -38,21 +43,26 @@ go -C "$work/parent/bench" build -o "$work/bench_parent" .
 go -C "$root/bench" build -o "$work/bench_change" .
 rm -rf "$work/parent"
 
-run() { # side seed
-	"$work/bench_$1" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 --out "$work/out" |
-		tail -n 1 >>"$work/$1.jsonl"
+run() { # workload side seed
+	"$work/bench_$2" --workload "$1" --seed "$3" --seconds "$seconds" --trace 0 --out "$work/out" |
+		tail -n 1 >>"$work/$1.$2.jsonl"
 }
-i=1
-while [ "$i" -le "$pairs" ]; do
-	seed=$((base + i))
-	if [ $((i % 2)) -eq 1 ]; then first=parent second=change; else first=change second=parent; fi
-	echo "pair $i/$pairs: seed $seed, $first first" >&2
-	run "$first" "$seed"
-	run "$second" "$seed"
-	i=$((i + 1))
+results=""
+for workload in $workloads; do
+	i=1
+	while [ "$i" -le "$pairs" ]; do
+		seed=$((base + i))
+		if [ $((i % 2)) -eq 1 ]; then first=parent second=change; else first=change second=parent; fi
+		echo "$workload pair $i/$pairs: seed $seed, $first first" >&2
+		run "$workload" "$first" "$seed"
+		run "$workload" "$second" "$seed"
+		i=$((i + 1))
+	done
+	results="$results $work/$workload.parent.jsonl $work/$workload.change.jsonl"
 done
 
-awk -v workload="$workload" -v ref="$ref" -v seconds="$seconds" '
+# shellcheck disable=SC2086 # $results is a list of paths without spaces
+awk -v ref="$ref" -v seconds="$seconds" '
 function value(line, name,    at, rest) {
 	at = index(line, "\"" name "\": {\"value\": ")
 	if (at == 0) return "nan"
@@ -77,37 +87,54 @@ FILENAME ~ /BENCHMARK.json$/ {
 	if (inE2E && $0 ~ /"bound"/) { split($0, f, /[:,]/); bound[name] = f[2] + 0 }
 	next
 }
+FNR == 1 { # <dir>/<workload>.<side>.jsonl
+	nparts = split(FILENAME, part, "/"); split(part[nparts], f, ".")
+	w = f[1]; side = f[2]
+	if (!(w in seen)) { seen[w] = 1; wl[++nw] = w }
+}
 {
-	side = (FILENAME ~ /parent.jsonl$/) ? "parent" : "change"
-	n[side]++
-	if ($0 !~ /"correct": true/) incorrect[side]++
+	n[w, side]++
+	if ($0 !~ /"correct": true/) incorrect[w, side]++
 	# "failed" is a bare count, not a {"value": …} object.
-	if (match($0, /"failed": [0-9]+/)) failed[side] += substr($0, RSTART + 10, RLENGTH - 10)
-	for (k = 1; k <= nm; k++) val[side, names[k], n[side]] = value($0, names[k])
+	if (match($0, /"failed": [0-9]+/)) failed[w, side] += substr($0, RSTART + 10, RLENGTH - 10)
+	for (k = 1; k <= nm; k++) val[w, side, names[k], n[w, side]] = value($0, names[k])
 }
 END {
-	N = n["parent"]
-	if (N == 0 || N != n["change"]) { print "benchpairs: " n["parent"] + 0 " parent and " n["change"] + 0 " change results" > "/dev/stderr"; exit 1 }
-	printf "%s: %d pairs of %s s, parent %s against the working tree\n", workload, N, seconds, ref
-	printf "%-18s %-7s %13s %13s %13s   %13s %13s %13s   %6s %8s  %s\n", "metric", "better", "parent q1", "median", "q3", "change q1", "median", "q3", "wins", "change", "verdict"
-	for (k = 1; k <= nm; k++) {
-		m = names[k]; wins = 0; losses = 0
-		for (i = 1; i <= N; i++) {
-			p[i] = val["parent", m, i]; c[i] = val["change", m, i]
-			d = c[i] - p[i]; if (better[m] == "lower") d = -d
-			if (d > 0) wins++; else if (d < 0) losses++
+	for (x = 1; x <= nw; x++) {
+		w = wl[x]; N = n[w, "parent"]
+		if (N == 0 || N != n[w, "change"]) { print "benchpairs: " w ": " n[w, "parent"] + 0 " parent and " n[w, "change"] + 0 " change results" > "/dev/stderr"; exit 1 }
+		printf "%s: %d pairs of %s s, parent %s against the working tree\n", w, N, seconds, ref
+		printf "%-18s %-7s %13s %13s %13s   %13s %13s %13s   %6s %8s  %s\n", "metric", "better", "parent q1", "median", "q3", "change q1", "median", "q3", "wins", "change", "verdict"
+		for (k = 1; k <= nm; k++) {
+			m = names[k]; wins = 0; losses = 0
+			for (i = 1; i <= N; i++) {
+				p[i] = val[w, "parent", m, i]; c[i] = val[w, "change", m, i]
+				d = c[i] - p[i]; if (better[m] == "lower") d = -d
+				if (d > 0) wins++; else if (d < 0) losses++
+			}
+			sorted(p, ps, N); sorted(c, cs, N)
+			pm = quantile(ps, N, 0.5); cm = quantile(cs, N, 0.5)
+			iqr = quantile(ps, N, 0.75) - quantile(ps, N, 0.25)
+			gap = cm - pm; if (better[m] == "lower") gap = -gap
+			verdict = "no difference shown"
+			if (wins * 10 >= N * 9 && gap > iqr) verdict = "gain"
+			if (losses * 10 >= N * 9 && -gap > iqr) verdict = "worse"
+			if (-gap > bound[m] * (pm < 0 ? -pm : pm)) verdict = "past its bound"
+			verdicts[w, m] = sprintf("%s %+.1f%%", verdict, pm != 0 ? 100 * (cm - pm) / pm : 0)
+			printf "%-18s %-7s %13.6g %13.6g %13.6g   %13.6g %13.6g %13.6g   %3d/%-2d %+7.1f%%  %s\n", m, better[m], quantile(ps, N, 0.25), pm, quantile(ps, N, 0.75), quantile(cs, N, 0.25), cm, quantile(cs, N, 0.75), wins, N, pm != 0 ? 100 * (cm - pm) / pm : 0, verdict
 		}
-		sorted(p, ps, N); sorted(c, cs, N)
-		pm = quantile(ps, N, 0.5); cm = quantile(cs, N, 0.5)
-		iqr = quantile(ps, N, 0.75) - quantile(ps, N, 0.25)
-		gap = cm - pm; if (better[m] == "lower") gap = -gap
-		verdict = "no difference shown"
-		if (wins * 10 >= N * 9 && gap > iqr) verdict = "gain"
-		if (losses * 10 >= N * 9 && -gap > iqr) verdict = "worse"
-		if (-gap > bound[m] * (pm < 0 ? -pm : pm)) verdict = "past its bound"
-		printf "%-18s %-7s %13.6g %13.6g %13.6g   %13.6g %13.6g %13.6g   %3d/%-2d %+7.1f%%  %s\n", m, better[m], quantile(ps, N, 0.25), pm, quantile(ps, N, 0.75), quantile(cs, N, 0.25), cm, quantile(cs, N, 0.75), wins, N, pm != 0 ? 100 * (cm - pm) / pm : 0, verdict
+		printf "failed frames: parent %d, change %d; incorrect runs: parent %d, change %d\n\n", failed[w, "parent"], failed[w, "change"], incorrect[w, "parent"], incorrect[w, "change"]
 	}
-	printf "failed frames: parent %d, change %d; incorrect runs: parent %d, change %d\n", failed["parent"], failed["change"], incorrect["parent"], incorrect["change"]
-}' "$root/BENCHMARK.json" "$work/parent.jsonl" "$work/change.jsonl"
+	if (nw > 1) {
+		printf "%-18s", "verdicts"
+		for (x = 1; x <= nw; x++) printf " %-28s", wl[x]
+		printf "\n"
+		for (k = 1; k <= nm; k++) {
+			printf "%-18s", names[k]
+			for (x = 1; x <= nw; x++) printf " %-28s", verdicts[wl[x], names[k]]
+			printf "\n"
+		}
+	}
+}' "$root/BENCHMARK.json" $results
 rm -f "$work/bench_parent" "$work/bench_change"
 echo "result lines kept in $work" >&2
