@@ -1,11 +1,14 @@
-// Command pamlint is the repo's invariant multichecker: it loads the whole
+// Command pamlint is the repo's one invariant checker: it loads the whole
 // module (or the package patterns given as arguments), runs every analyzer
-// in internal/analysis — hotpath, atomicfield, unitcheck, provenance — and
-// exits non-zero when any invariant of the lock-free dataplane is violated.
-// CI runs it in the lint job; run it locally with `go run ./cmd/pamlint
-// ./...`. See DESIGN.md §6 for what each analyzer enforces and the
-// annotation vocabulary (//pam:hotpath, //pam:slowpath, //pam:unit, ...)
-// the checks are driven by.
+// in internal/analysis — hotpath, atomicfield, unitcheck, provenance and
+// the doc checks pkgdoc, mdlinks and examples — plus the escape check over
+// one `go build -gcflags=-m` of the same patterns, and exits non-zero when
+// any invariant is violated. CI runs it in the lint job; run it locally
+// with `go run ./cmd/pamlint ./...`. See DESIGN.md §6 for what each check
+// enforces and the annotation vocabulary (//pam:hotpath, //pam:slowpath,
+// //pam:unit, //pam:escape-ok, ...) the checks are driven by.
+//
+// Exit status: 0 clean, 1 findings, 2 operational failure.
 package main
 
 import (
@@ -25,23 +28,35 @@ func main() {
 	}
 	flag.Parse()
 
-	analyzers := analysis.All()
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range append(analysis.All(), analysis.Escape("")) {
 			fmt.Printf("%s: %s\n", a.Name, a.Doc)
 		}
 		return
 	}
 
-	prog, err := analysis.LoadModule(".", flag.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pamlint:", err)
-		os.Exit(2)
+	// The compiler's escape analysis and the module load are independent:
+	// run them side by side.
+	type build struct {
+		out string
+		err error
 	}
-	diags, err := analysis.Run(prog, analyzers)
+	built := make(chan build, 1)
+	go func() {
+		out, err := analysis.BuildEscapes(".", flag.Args())
+		built <- build{out, err}
+	}()
+	prog, err := analysis.LoadModule(".", flag.Args())
+	b := <-built
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pamlint:", err)
-		os.Exit(2)
+		fail(err)
+	}
+	if b.err != nil {
+		fail(b.err)
+	}
+	diags, err := analysis.Run(prog, append(analysis.All(), analysis.Escape(b.out)))
+	if err != nil {
+		fail(err)
 	}
 	for _, d := range diags {
 		pos := prog.Fset.Position(d.Pos)
@@ -52,6 +67,12 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("pamlint: %d package(s) clean\n", len(prog.Packages))
+}
+
+// fail reports an operational error: exit 2.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "pamlint:", err)
+	os.Exit(2)
 }
 
 // rel trims the current working directory prefix from a position string so

@@ -8,14 +8,16 @@
 // here, close enough that an analyzer written against this package ports to
 // x/tools by changing one import.
 //
-// The analyzers themselves (hotpath, atomicfield, unitcheck, provenance —
-// see DESIGN.md §6) guard the invariants the lock-free dataplane rests on:
-// no blocking or allocating calls in run-to-completion hot paths, no mixed
-// atomic/plain access to a field, no unit-domain mixing outside the named
-// conversion helpers, and no calibrated scenario knob without a DESIGN §5
-// provenance entry. cmd/pamlint is the multichecker driver; the
-// analysistest subpackage runs each analyzer against a testdata fixture
-// package with want-comment expectations.
+// The analyzers themselves (hotpath, atomicfield, unitcheck, provenance,
+// escape — see DESIGN.md §6) guard the invariants the lock-free dataplane
+// rests on: no blocking or allocating calls in run-to-completion hot paths,
+// no heap escape the compiler finds in one, no mixed atomic/plain access to
+// a field, no unit-domain mixing outside the named conversion helpers, and
+// no calibrated scenario knob without a DESIGN §5 provenance entry. The doc
+// checks (pkgdoc, mdlinks, examples) keep godoc, markdown links and the
+// README's example table from rotting. cmd/pamlint is the multichecker
+// driver; the analysistest subpackage runs each analyzer against a testdata
+// fixture package with want-comment expectations.
 //
 // Source annotations the analyzers read (all are ordinary comments, so the
 // annotated code compiles unchanged):
@@ -35,8 +37,8 @@
 //	//pam:unit domain        on a named type: values carry this unit domain.
 //	//pam:unitconv           on a function: a named unit-conversion helper;
 //	                         unit domains may enter, leave and mix here.
-//	//pam:escape-ok reason   on a statement line: cmd/escapecheck tolerates a
-//	                         heap escape reported for this line.
+//	//pam:escape-ok reason   on a statement line: the escape check tolerates
+//	                         a heap escape reported for this line.
 package analysis
 
 import (
@@ -206,7 +208,7 @@ func Run(prog *Program, analyzers []*Analyzer) ([]AnalyzerDiagnostic, error) {
 }
 
 // All returns the repo's analyzer suite in reporting order — the set
-// cmd/pamlint runs.
+// cmd/pamlint runs, beside the compiler-driven Escape check.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, AtomicField, UnitCheck, Provenance}
+	return []*Analyzer{HotPath, AtomicField, UnitCheck, Provenance, PackageDoc, Links, Examples}
 }

@@ -5,6 +5,9 @@
 //
 //	el.mu.Lock() // want "mutex acquisition"
 //
+// Non-Go files an analyzer reads, such as markdown, carry the same payload
+// in an HTML comment: <!-- want "broken link" -->.
+//
 // Run loads the fixture, applies the analyzers, and reports as test errors
 // every diagnostic with no matching want comment and every want comment no
 // diagnostic matched. The want argument is a regular expression matched
@@ -15,6 +18,8 @@ package analysistest
 import (
 	"fmt"
 	"go/token"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -31,16 +36,18 @@ type expectation struct {
 }
 
 // wantRE extracts the quoted patterns of one want comment. Both `// want
-// "p"` and `// want "p1" "p2"` forms are accepted, mirroring x/tools.
-var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
+// "p"` and `// want "p1" "p2"` forms are accepted, mirroring x/tools, and
+// the same payload in an HTML comment for non-Go files.
+var wantRE = regexp.MustCompile(`(?://|<!--)\s*want\s+(.*)$`)
 
 // quotedRE splits the want payload into its quoted patterns.
 var quotedRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"|` + "`([^`]*)`")
 
 // Run loads the fixture package rooted at dir, runs the analyzers over it,
 // and checks the diagnostics against the fixture's want comments. moduleDir
-// is reported as the program's module root (fixtures that exercise the
-// provenance analyzer place a DESIGN.md there; others pass dir).
+// is reported as the program's module root (fixtures for the provenance
+// and doc checks place DESIGN.md, README.md or examples/ there; others
+// pass dir).
 func Run(t *testing.T, dir, moduleDir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	prog, err := analysis.LoadDir(dir, moduleDir)
@@ -48,11 +55,11 @@ func Run(t *testing.T, dir, moduleDir string, analyzers ...*analysis.Analyzer) {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
 
-	want := collectWants(t, prog)
 	got, err := analysis.Run(prog, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
+	want := collectWants(t, prog)
 
 	for _, d := range got {
 		pos := prog.Fset.Position(d.Diagnostic.Pos)
@@ -68,36 +75,52 @@ func Run(t *testing.T, dir, moduleDir string, analyzers ...*analysis.Analyzer) {
 	}
 }
 
-// collectWants scans every fixture file's comments for want expectations.
+// collectWants scans the fixture's Go sources, and every other file an
+// analyzer registered under the module root (markdown, say), line by line
+// for want expectations: `// want "p"` in Go, `<!-- want "p" -->` elsewhere.
+// It runs after the analyzers, which register those files.
 func collectWants(t *testing.T, prog *analysis.Program) []*expectation {
 	t.Helper()
-	var wants []*expectation
+	seen := make(map[string]bool)
+	var files []string
+	add := func(name string) {
+		if !seen[name] {
+			seen[name] = true
+			files = append(files, name)
+		}
+	}
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := wantRE.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					for _, q := range quotedRE.FindAllStringSubmatch(m[1], -1) {
-						pat := q[1]
-						if pat == "" {
-							pat = q[2]
-						}
-						re, err := regexp.Compile(pat)
-						if err != nil {
-							t.Fatalf("%s:%d: bad want pattern %q: %v",
-								pos.Filename, pos.Line, pat, err)
-						}
-						wants = append(wants, &expectation{
-							file:    pos.Filename,
-							line:    pos.Line,
-							pattern: re,
-						})
-					}
+			add(prog.Fset.File(f.Pos()).Name())
+		}
+	}
+	prog.Fset.Iterate(func(f *token.File) bool {
+		if strings.HasPrefix(f.Name(), prog.ModuleDir+string(filepath.Separator)) {
+			add(f.Name())
+		}
+		return true
+	})
+	var wants []*expectation
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("reading %s: %v", name, err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			m := wantRE.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			for _, q := range quotedRE.FindAllStringSubmatch(m[1], -1) {
+				pat := q[1]
+				if pat == "" {
+					pat = q[2]
 				}
+				re, err := regexp.Compile(pat)
+				if err != nil {
+					t.Fatalf("%s:%d: bad want pattern %q: %v", name, i+1, pat, err)
+				}
+				wants = append(wants, &expectation{file: name, line: i + 1, pattern: re})
 			}
 		}
 	}

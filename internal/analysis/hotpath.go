@@ -23,8 +23,8 @@ package analysis
 //     slice/map/chan composite literals, taking the address of a composite
 //     literal, string concatenation and string<->[]byte conversions.
 //     Struct composite literals pass — they stay on the stack unless they
-//     escape, which cmd/escapecheck guards dynamically from the compiler's
-//     own -m analysis.
+//     escape, which the escape check guards dynamically from the
+//     compiler's own -m analysis.
 //
 // The walk descends transitively into every in-module callee with a body.
 // Three escapes bound it:

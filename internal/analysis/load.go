@@ -15,6 +15,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,7 +27,8 @@ import (
 // moduleRE extracts the module path from a go.mod.
 var moduleRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
-// skipDirs are directory names never treated as package dirs.
+// skipDirs are directory names walkTree never enters: fixtures, vendored
+// code and VCS/tooling internals are not part of the checked tree.
 var skipDirs = map[string]bool{
 	".git": true, ".github": true, ".claude": true,
 	"testdata": true, "vendor": true,
@@ -139,16 +141,22 @@ func packageDirs(moduleDir string, patterns []string) ([]string, error) {
 			out = append(out, dir)
 		}
 	}
+	addDir := func(path string, d fs.DirEntry) error {
+		if d.IsDir() {
+			add(path)
+		}
+		return nil
+	}
 	for _, pat := range patterns {
 		pat = filepath.ToSlash(pat)
 		switch {
 		case pat == "./..." || pat == "...":
-			if err := walkPackageDirs(moduleDir, add); err != nil {
+			if err := walkTree(moduleDir, addDir); err != nil {
 				return nil, err
 			}
 		case strings.HasSuffix(pat, "/..."):
 			root := filepath.Join(moduleDir, filepath.FromSlash(strings.TrimSuffix(pat, "/...")))
-			if err := walkPackageDirs(root, add); err != nil {
+			if err := walkTree(root, addDir); err != nil {
 				return nil, err
 			}
 		default:
@@ -159,19 +167,18 @@ func packageDirs(moduleDir string, patterns []string) ([]string, error) {
 	return out, nil
 }
 
-func walkPackageDirs(root string, add func(string)) error {
-	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+// walkTree calls fn for every directory and file under root outside the
+// skipDirs subtrees — the one tree walk package discovery and the markdown
+// link check share.
+func walkTree(root string, fn func(path string, d fs.DirEntry) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		if skipDirs[d.Name()] {
+		if d.IsDir() && skipDirs[d.Name()] {
 			return filepath.SkipDir
 		}
-		add(path)
-		return nil
+		return fn(path, d)
 	})
 }
 

@@ -249,20 +249,3 @@ func (c *Chain) String() string {
 	}
 	return b.String()
 }
-
-// PlacementSignature is a compact encoding of the placement vector (S/C/F
-// per element), useful as a map key when memoizing evaluations.
-func (c *Chain) PlacementSignature() string {
-	var b strings.Builder
-	for _, e := range c.Elems {
-		switch e.Loc {
-		case device.KindSmartNIC:
-			b.WriteByte('S')
-		case device.KindCPU:
-			b.WriteByte('C')
-		case device.KindFPGA:
-			b.WriteByte('F')
-		}
-	}
-	return b.String()
-}

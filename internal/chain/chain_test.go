@@ -3,6 +3,7 @@ package chain_test
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -62,7 +63,7 @@ func TestCrossings(t *testing.T) {
 	for _, tc := range cases {
 		c := mk(t, tc.locs...)
 		if got := c.Crossings(); got != tc.want {
-			t.Errorf("%v crossings = %d, want %d", c.PlacementSignature(), got, tc.want)
+			t.Errorf("%v crossings = %d, want %d", c, got, tc.want)
 		}
 	}
 }
@@ -161,13 +162,10 @@ func TestMoveUnknownElement(t *testing.T) {
 	}
 }
 
-func TestPlacementSignatureAndString(t *testing.T) {
+func TestString(t *testing.T) {
 	c := mk(t, C, S, S)
-	if got := c.PlacementSignature(); got != "CSS" {
-		t.Errorf("signature = %q, want CSS", got)
-	}
-	if got := c.String(); got == "" {
-		t.Error("String is empty")
+	if got := c.String(); !strings.Contains(got, "(CPU) -> ") || !strings.HasSuffix(got, "(SmartNIC)") {
+		t.Errorf("String = %q, want each element with its placement", got)
 	}
 }
 

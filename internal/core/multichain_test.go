@@ -38,7 +38,7 @@ func TestMultiPAMReducesToSingleChainPAM(t *testing.T) {
 			return multi, true
 		}
 		if !reflect.DeepEqual(multi.Steps, single.Steps) ||
-			multi.Results[0].PlacementSignature() != single.Results[0].PlacementSignature() {
+			multi.Results[0].String() != single.Results[0].String() {
 			t.Logf("on %v: multi %v -> %v, single %v -> %v", v.Loads[0].Chain,
 				multi, multi.Results[0], single, single.Results[0])
 			return multi, false

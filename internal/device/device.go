@@ -235,7 +235,3 @@ func (d Device) DMASaturation(crossings int) Gbps {
 	}
 	return d.DMAEngineGbps / Gbps(crossings)
 }
-
-// Overloaded reports whether utilization exceeds 1 (with a small epsilon to
-// avoid flapping on exact saturation).
-func Overloaded(util float64) bool { return util > 1.0+1e-9 }

@@ -116,15 +116,6 @@ func TestSaturationEmptyDeviceIsInfinite(t *testing.T) {
 	}
 }
 
-func TestOverloadedEpsilon(t *testing.T) {
-	if device.Overloaded(1.0) {
-		t.Error("exactly 1.0 must not flap to overloaded")
-	}
-	if !device.Overloaded(1.01) {
-		t.Error("1.01 must be overloaded")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if device.KindSmartNIC.String() != "SmartNIC" ||
 		device.KindCPU.String() != "CPU" ||

@@ -94,9 +94,9 @@ func (d *dmaGate) offer(dir dmaDir, bytes uint64) {
 	d.demandBytes[dir].Add(bytes)
 }
 
-// serializationUnits converts cumulative crossing bytes into link-seconds —
-// the float64 form of pcie.Link.SerializationSeconds, safe for counters
-// beyond the int range.
+// serializationUnits converts cumulative crossing bytes into link-seconds:
+// pcie.Link.SerializationTime at the scaled link, in float64 arithmetic so
+// counters beyond the int range stay safe.
 func (d *dmaGate) serializationUnits(bytes uint64) float64 {
 	if d.link.BandwidthGbps <= 0 {
 		return 0

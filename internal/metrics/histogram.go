@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -113,16 +112,6 @@ func (h *Histogram) recordLocked(v int64, n uint64) {
 func (h *Histogram) Record(v int64) {
 	h.mu.Lock()
 	h.recordLocked(v, 1)
-	h.mu.Unlock()
-}
-
-// RecordN adds n identical samples.
-func (h *Histogram) RecordN(v int64, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.mu.Lock()
-	h.recordLocked(v, n)
 	h.mu.Unlock()
 }
 
@@ -294,20 +283,18 @@ func (s Summary) String() string {
 		s.Count, s.Mean/1e3, float64(s.P50)/1e3, float64(s.P90)/1e3, float64(s.P99)/1e3, float64(s.P999)/1e3, float64(s.Max)/1e3)
 }
 
-// Welford accumulates mean and variance online (Welford's algorithm).
-// The zero value is ready to use. Not safe for concurrent use.
+// Welford accumulates a running mean online (Welford's update, which stays
+// accurate where a plain sum would lose precision). The zero value is ready
+// to use. Not safe for concurrent use.
 type Welford struct {
 	n    uint64
 	mean float64
-	m2   float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of observations.
@@ -315,14 +302,6 @@ func (w *Welford) N() uint64 { return w.n }
 
 // Mean returns the running mean (0 if empty).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
 
 // Quantile computes the p-quantile (p in [0,1]) of xs by sorting a copy.
 // It returns 0 for an empty slice. Intended for small result sets where
@@ -349,34 +328,4 @@ func Quantile(xs []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// FormatBars renders a simple horizontal ASCII bar chart for labelled values,
-// used by the report package to approximate the paper's figures in a
-// terminal. width is the maximum bar width in characters.
-func FormatBars(labels []string, values []float64, width int, unit string) string {
-	if len(labels) != len(values) || len(labels) == 0 {
-		return ""
-	}
-	maxv := values[0]
-	for _, v := range values {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	maxLabel := 0
-	for _, l := range labels {
-		if len(l) > maxLabel {
-			maxLabel = len(l)
-		}
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		n := 0
-		if maxv > 0 {
-			n = int(math.Round(values[i] / maxv * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s | %s %.2f %s\n", maxLabel, l, strings.Repeat("#", n), values[i], unit)
-	}
-	return b.String()
 }

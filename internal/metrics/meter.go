@@ -202,22 +202,3 @@ func (ts *TimeSeries) Last() (Point, bool) {
 	}
 	return ts.pts[len(ts.pts)-1], true
 }
-
-// MeanAfter returns the mean of observations with T >= from, or 0 if none.
-// Useful for discarding a warm-up prefix.
-func (ts *TimeSeries) MeanAfter(from time.Duration) float64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	var sum float64
-	var n int
-	for _, p := range ts.pts {
-		if p.T >= from {
-			sum += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

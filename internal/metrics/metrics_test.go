@@ -80,14 +80,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramRecordN(t *testing.T) {
-	h := metrics.NewHistogram()
-	h.RecordN(500, 10)
-	if h.Count() != 10 || h.Sum() != 5000 {
-		t.Errorf("count=%d sum=%d", h.Count(), h.Sum())
-	}
-}
-
 // Property: percentile estimates are within the documented relative error
 // of the exact empirical quantile.
 func TestPropertyPercentileAccuracy(t *testing.T) {
@@ -161,10 +153,6 @@ func TestWelford(t *testing.T) {
 	if w.N() != 8 || math.Abs(w.Mean()-5) > 1e-12 {
 		t.Errorf("n=%d mean=%v", w.N(), w.Mean())
 	}
-	// Sample variance of the set is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Errorf("variance = %v, want %v", w.Variance(), 32.0/7)
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -195,10 +183,6 @@ func TestTimeSeries(t *testing.T) {
 	if !ok || last.V != 9 {
 		t.Errorf("last = %+v ok=%v", last, ok)
 	}
-	// Mean of values with T >= 5ms: (5+6+7+8+9)/5 = 7.
-	if got := ts.MeanAfter(5 * time.Millisecond); got != 7 {
-		t.Errorf("MeanAfter = %v, want 7", got)
-	}
 }
 
 func TestCounter(t *testing.T) {
@@ -211,16 +195,6 @@ func TestCounter(t *testing.T) {
 	c.Reset()
 	if c.Load() != 0 {
 		t.Error("reset failed")
-	}
-}
-
-func TestFormatBars(t *testing.T) {
-	s := metrics.FormatBars([]string{"a", "bb"}, []float64{1, 2}, 10, "x")
-	if s == "" {
-		t.Error("empty bars")
-	}
-	if metrics.FormatBars([]string{"a"}, []float64{1, 2}, 10, "x") != "" {
-		t.Error("mismatched lengths must return empty")
 	}
 }
 

@@ -11,8 +11,10 @@
 //  5. Replay — buffered packets are re-injected at the destination, then
 //     live traffic resumes.
 //
-// The package provides the state mover, the transfer-cost model and the
-// freeze buffer; the execution emulator and the orchestrator drive them.
+// The package provides the state mover and the transfer-cost model; the
+// execution emulator and the orchestrator drive them. The freeze buffer is
+// the frozen element's own input rings: frames queue there during the move
+// and drain at the destination.
 package migrate
 
 import (
@@ -24,13 +26,8 @@ import (
 	"repro/internal/pcie"
 )
 
-// Errors.
-var (
-	// ErrTypeMismatch reports source/destination of different catalog types.
-	ErrTypeMismatch = errors.New("migrate: source and destination types differ")
-	// ErrBufferOverflow reports freeze-buffer exhaustion (packets lost).
-	ErrBufferOverflow = errors.New("migrate: freeze buffer overflow")
-)
+// ErrTypeMismatch reports source/destination of different catalog types.
+var ErrTypeMismatch = errors.New("migrate: source and destination types differ")
 
 // Transport models the cost of moving a state snapshot between devices.
 type Transport interface {
@@ -44,7 +41,7 @@ type Transport interface {
 // millisecond-scale moves).
 type PCIeTransport struct {
 	Link  pcie.Link
-	Setup time.Duration // control-plane handshake; defaults to 1 ms if negative is clamped to 0
+	Setup time.Duration // control-plane handshake; negative values clamp to 0
 }
 
 // TransferTime implements Transport.
@@ -98,54 +95,4 @@ func Move(src, dst nf.NF, tr Transport) (Report, error) {
 		return Report{}, fmt.Errorf("migrate %s: %w", src.Name(), err)
 	}
 	return rep, nil
-}
-
-// Buffer is the freeze buffer: it holds frames arriving while the NF is
-// frozen and replays them in order at the destination. Bounded; overflow is
-// reported so the caller can count losses.
-type Buffer struct {
-	frames   [][]byte
-	cap      int
-	overflow int
-}
-
-// NewBuffer creates a freeze buffer holding up to capacity frames (min 1).
-func NewBuffer(capacity int) *Buffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Buffer{cap: capacity}
-}
-
-// Hold copies and stores a frame, returning ErrBufferOverflow when full.
-func (b *Buffer) Hold(frame []byte) error {
-	if len(b.frames) >= b.cap {
-		b.overflow++
-		return ErrBufferOverflow
-	}
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	b.frames = append(b.frames, cp)
-	return nil
-}
-
-// Len returns the number of held frames.
-func (b *Buffer) Len() int { return len(b.frames) }
-
-// Overflow returns how many frames were rejected.
-func (b *Buffer) Overflow() int { return b.overflow }
-
-// Replay hands each held frame to deliver in arrival order and empties the
-// buffer. Delivery errors abort and leave the remaining frames held.
-func (b *Buffer) Replay(deliver func(frame []byte) error) (int, error) {
-	n := 0
-	for len(b.frames) > 0 {
-		f := b.frames[0]
-		if err := deliver(f); err != nil {
-			return n, err
-		}
-		b.frames = b.frames[1:]
-		n++
-	}
-	return n, nil
 }

@@ -65,78 +65,6 @@ func TestPCIeTransportCost(t *testing.T) {
 	}
 }
 
-func TestBufferHoldReplayOrder(t *testing.T) {
-	b := migrate.NewBuffer(8)
-	for i := 0; i < 5; i++ {
-		if err := b.Hold([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.Len() != 5 {
-		t.Fatalf("len = %d", b.Len())
-	}
-	var got []byte
-	n, err := b.Replay(func(f []byte) error {
-		got = append(got, f[0])
-		return nil
-	})
-	if err != nil || n != 5 {
-		t.Fatalf("replay n=%d err=%v", n, err)
-	}
-	for i, v := range got {
-		if int(v) != i {
-			t.Fatalf("replay out of order: %v", got)
-		}
-	}
-	if b.Len() != 0 {
-		t.Error("buffer not drained")
-	}
-}
-
-func TestBufferOverflow(t *testing.T) {
-	b := migrate.NewBuffer(2)
-	b.Hold([]byte{1})
-	b.Hold([]byte{2})
-	if err := b.Hold([]byte{3}); !errors.Is(err, migrate.ErrBufferOverflow) {
-		t.Fatalf("err = %v, want overflow", err)
-	}
-	if b.Overflow() != 1 {
-		t.Errorf("overflow = %d", b.Overflow())
-	}
-}
-
-func TestBufferCopiesFrames(t *testing.T) {
-	b := migrate.NewBuffer(2)
-	frame := []byte{42}
-	b.Hold(frame)
-	frame[0] = 99 // caller mutates after Hold
-	b.Replay(func(f []byte) error {
-		if f[0] != 42 {
-			t.Errorf("buffer aliased caller memory: %d", f[0])
-		}
-		return nil
-	})
-}
-
-func TestBufferReplayError(t *testing.T) {
-	b := migrate.NewBuffer(4)
-	b.Hold([]byte{1})
-	b.Hold([]byte{2})
-	fail := errors.New("downstream full")
-	n, err := b.Replay(func(f []byte) error {
-		if f[0] == 2 {
-			return fail
-		}
-		return nil
-	})
-	if n != 1 || !errors.Is(err, fail) {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	if b.Len() != 1 {
-		t.Errorf("len = %d, remaining frame must stay held", b.Len())
-	}
-}
-
 // End-to-end: every catalog NF type migrates loss-free with state intact.
 func TestMoveAllTypes(t *testing.T) {
 	types := []string{

@@ -139,9 +139,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: r, order: order, snapLen: int(order.Uint32(hdr[16:20]))}, nil
 }
 
-// SnapLen returns the file's snap length.
-func (r *Reader) SnapLen() int { return r.snapLen }
-
 // Next returns the next record, or io.EOF at a clean end of stream.
 func (r *Reader) Next() (Packet, error) {
 	var hdr [recordHeaderLen]byte

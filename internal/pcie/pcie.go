@@ -69,19 +69,6 @@ func (l Link) EngineSeconds(bytes int, scale float64) float64 {
 	return l.PropDelay.Seconds() + l.SerializationTime(bytes).Seconds()*scale
 }
 
-// SerializationSeconds is SerializationTime at the link slowed by scale, as
-// a float — the size-proportional share of EngineSeconds, used to meter
-// offered crossing demand before a burst forms (the per-burst descriptor
-// overhead is only knowable at admission).
-//
-//pam:hotpath
-func (l Link) SerializationSeconds(bytes int, scale float64) float64 {
-	if scale <= 0 {
-		scale = 1
-	}
-	return l.SerializationTime(bytes).Seconds() * scale
-}
-
 // Validate rejects nonsensical parameters.
 func (l Link) Validate() error {
 	if l.PropDelay < 0 {

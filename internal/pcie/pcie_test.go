@@ -69,10 +69,6 @@ func TestEngineSeconds(t *testing.T) {
 	if got := (pcie.Link{}).EngineSeconds(1024, 1000); got != 0 {
 		t.Errorf("zero link EngineSeconds = %v, want 0", got)
 	}
-	// The serialization share excludes the per-burst descriptor overhead.
-	if got, want := l.SerializationSeconds(1024, 1000), 128e-9*1000; !close(got, want) {
-		t.Errorf("SerializationSeconds = %v, want %v", got, want)
-	}
 }
 
 // Property: crossing time is monotone in frame size and always at least the

@@ -51,9 +51,6 @@ func (e *EWMA) Observe(x float64) float64 {
 // Value returns the current average (0 when unseeded).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Seeded reports whether any sample has been observed.
-func (e *EWMA) Seeded() bool { return e.seeded }
-
 // DetectorConfig tunes overload detection.
 type DetectorConfig struct {
 	// Threshold is the smoothed NIC utilization at which a window counts

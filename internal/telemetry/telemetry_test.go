@@ -11,8 +11,8 @@ import (
 
 func TestEWMASeedAndConverge(t *testing.T) {
 	e := telemetry.EWMA{Alpha: 0.5}
-	if e.Seeded() {
-		t.Error("zero value claims seeded")
+	if e.Value() != 0 {
+		t.Error("zero value is not 0")
 	}
 	if got := e.Observe(10); got != 10 {
 		t.Errorf("first observe = %v, want seed value", got)

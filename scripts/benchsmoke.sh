@@ -24,9 +24,10 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp" "$tmp.json"' EXIT
 
 # The numbers below only mean anything if the hot paths stayed
-# allocation-free: gate on the compiler's escape analysis before spending
-# minutes benchmarking a dataplane that now mallocs per frame.
-go run ./cmd/escapecheck ./...
+# allocation-free: gate on pamlint (its escape check reads the compiler's
+# escape analysis) before spending minutes benchmarking a dataplane that
+# now mallocs per frame.
+go run ./cmd/pamlint ./...
 
 go test -run xxx -bench='^BenchmarkDataplane$|MultiChainSelect|SharedDeviceContention|PCIeDMAContention' \
 	-benchtime=10x -count=3 -benchmem . | tee "$tmp"
