@@ -2,7 +2,10 @@
 // host CPU with deterministic discrete-event precision. It is the
 // measurement substrate for every figure in the reproduction: per-packet
 // latency (ns resolution, no GC jitter), delivered throughput, drops, and
-// device utilization, under any chain placement and offered load.
+// device utilization, under a fixed chain placement and offered load. The
+// selection policies choose the placements — internal/experiments runs one
+// simulation per placement — while the closed control loop runs on the
+// execution emulator (internal/orchestrator), not here.
 //
 // Model (DESIGN.md §5):
 //
@@ -21,10 +24,6 @@
 //     which is how overload manifests as throughput loss. Dropping at
 //     admission rather than mid-pipeline means no device work is wasted on
 //     doomed frames, so measured saturation coincides with the fluid model.
-//
-// Placement can be swapped mid-run (SetPlacement), taking effect for frames
-// arriving afterwards — the orchestrator uses this to execute migration
-// plans while traffic flows.
 package chainsim
 
 import (
@@ -82,9 +81,10 @@ func (c Config) Validate() error {
 
 // Sim is a running chain simulation.
 type Sim struct {
-	cfg Config
-	eng *sim.Engine
-	cur *chain.Chain
+	cfg    Config
+	eng    *sim.Engine
+	placed *chain.Chain // the placement every frame runs under
+	path   []hop        // placed compiled into hops, read-only
 
 	nic *sim.Server
 	cpu *sim.Server
@@ -96,32 +96,31 @@ type Sim struct {
 	inFlight     int
 	offeredBytes uint64
 	offeredPkts  uint64
-	migrations   int
 	ingressDrops uint64
 
 	nicSeries *metrics.TimeSeries
 	cpuSeries *metrics.TimeSeries
-	dmaSeries *metrics.TimeSeries
 	thrSeries *metrics.TimeSeries
 
 	lastNICBusy time.Duration
 	lastCPUBusy time.Duration
-	lastDMABusy time.Duration
 	lastBytes   uint64
 	lastSample  time.Duration
 }
 
-// New builds a simulation. The configured chain is cloned; SetPlacement
-// installs new placements later.
+// New builds a simulation. The configured chain is cloned, so the caller
+// may reuse it.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	eng := sim.New(cfg.Seed)
+	placed := cfg.Chain.Clone()
 	s := &Sim{
 		cfg:       cfg,
 		eng:       eng,
-		cur:       cfg.Chain.Clone(),
+		placed:    placed,
+		path:      buildPath(placed),
 		nic:       sim.NewServer(eng, 0), // admission is bounded globally
 		cpu:       sim.NewServer(eng, 0),
 		dma:       sim.NewServer(eng, 0),
@@ -129,37 +128,12 @@ func New(cfg Config) (*Sim, error) {
 		meter:     metrics.NewMeter(cfg.Warmup),
 		nicSeries: &metrics.TimeSeries{},
 		cpuSeries: &metrics.TimeSeries{},
-		dmaSeries: &metrics.TimeSeries{},
 		thrSeries: &metrics.TimeSeries{},
 	}
 	if cfg.SampleEvery > 0 {
 		eng.After(cfg.SampleEvery, s.sample)
 	}
 	return s, nil
-}
-
-// Engine exposes the event engine so control-plane logic (the orchestrator)
-// can schedule decisions in virtual time.
-func (s *Sim) Engine() *sim.Engine { return s.eng }
-
-// Placement returns a copy of the active placement.
-func (s *Sim) Placement() *chain.Chain { return s.cur.Clone() }
-
-// SetPlacement installs a new placement for subsequently arriving frames.
-// In-flight frames complete on the path they started (the UNO-style
-// migration mechanism buffers and replays state; see internal/migrate).
-func (s *Sim) SetPlacement(c *chain.Chain) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	for _, e := range c.Elems {
-		if _, err := s.cfg.Catalog.Lookup(e.Type, e.Loc); err != nil {
-			return fmt.Errorf("chainsim: %w", err)
-		}
-	}
-	s.cur = c.Clone()
-	s.migrations++
-	return nil
 }
 
 // Inject schedules a traffic source's arrivals. Arrivals are pulled lazily,
@@ -185,8 +159,8 @@ func (s *Sim) scheduleArrival(src traffic.Source, a traffic.Arrival) {
 	})
 }
 
-// admit starts one frame's journey along the current placement, or drops it
-// at ingress when the pipeline is full.
+// admit starts one frame's journey along the placement, or drops it at
+// ingress when the pipeline is full.
 func (s *Sim) admit(a traffic.Arrival) {
 	s.offeredPkts++
 	s.offeredBytes += uint64(a.Size)
@@ -198,19 +172,13 @@ func (s *Sim) admit(a traffic.Arrival) {
 		return
 	}
 	s.inFlight++
-	p := &journey{
-		sim:     s,
-		placed:  s.cur, // snapshot: SetPlacement replaces s.cur wholesale
-		arrived: s.eng.Now(),
-		size:    a.Size,
-		path:    s.buildPath(),
-	}
+	p := &journey{sim: s, arrived: s.eng.Now(), size: a.Size}
 	p.step(0)
 }
 
 // hop is one stage of a frame's path: either a visit to the device hosting
-// a contiguous run of vNFs (positions [start, end] of the placement the
-// frame was admitted under) or a PCIe crossing.
+// a contiguous run of vNFs (positions [start, end] of the placement) or a
+// PCIe crossing.
 type hop struct {
 	kind       hopKind
 	side       device.Kind
@@ -224,11 +192,11 @@ const (
 	hopCrossing
 )
 
-// buildPath compiles the current placement into hops. Consecutive vNFs on
-// one device collapse into a single server visit whose occupancy is the sum
-// of per-vNF service times, matching the fluid model exactly.
-func (s *Sim) buildPath() []hop {
-	segs := s.cur.Segments()
+// buildPath compiles a placement into hops. Consecutive vNFs on one device
+// collapse into a single server visit whose occupancy is the sum of per-vNF
+// service times, matching the fluid model exactly.
+func buildPath(c *chain.Chain) []hop {
+	segs := c.Segments()
 	hops := make([]hop, 0, 2*len(segs)+2)
 	side := device.KindSmartNIC // ingress
 	for _, seg := range segs {
@@ -255,20 +223,16 @@ func (s *Sim) serverFor(k device.Kind) *sim.Server {
 	return s.nic // FPGA shares the NIC-side budget in this model
 }
 
-// journey walks one frame through its hops against the placement snapshot
-// captured at admission, so mid-run SetPlacement never corrupts in-flight
-// frames.
+// journey walks one frame through the simulation's hops.
 type journey struct {
 	sim     *Sim
-	placed  *chain.Chain
 	arrived time.Duration
 	size    int
-	path    []hop
 }
 
 func (j *journey) step(i int) {
 	s := j.sim
-	if i >= len(j.path) {
+	if i >= len(s.path) {
 		// Egress: release the buffer slot and record the outcome if past
 		// warmup. Filtering on exit time (not arrival) keeps the delivery
 		// meter free of the queue-fill dead window under overload.
@@ -279,7 +243,7 @@ func (j *journey) step(i int) {
 		}
 		return
 	}
-	h := j.path[i]
+	h := s.path[i]
 	switch h.kind {
 	case hopDevice:
 		service, overhead := j.segmentCost(h.start, h.end)
@@ -300,15 +264,14 @@ func (j *journey) step(i int) {
 }
 
 // segmentCost computes the server occupancy and pipeline latency for the
-// chain elements in positions [start, end] of the placement snapshot the
-// frame was admitted under.
+// chain elements in positions [start, end] of the placement.
 func (j *journey) segmentCost(start, end int) (service, overhead time.Duration) {
 	s := j.sim
-	for i := start; i <= end && i < j.placed.Len(); i++ {
-		e := j.placed.At(i)
+	for i := start; i <= end && i < s.placed.Len(); i++ {
+		e := s.placed.At(i)
 		g, err := s.cfg.Catalog.Lookup(e.Type, e.Loc)
 		if err != nil {
-			// Validated at SetPlacement; cannot happen mid-run.
+			// Validated in New; cannot happen mid-run.
 			continue
 		}
 		service += gbpsService(j.size, g.Float())
@@ -333,38 +296,14 @@ func (s *Sim) sample() {
 	if win > 0 {
 		nicBusy := s.nic.BusyTime()
 		cpuBusy := s.cpu.BusyTime()
-		dmaBusy := s.dma.BusyTime()
 		s.nicSeries.Append(now, float64(nicBusy-s.lastNICBusy)/float64(win))
 		s.cpuSeries.Append(now, float64(cpuBusy-s.lastCPUBusy)/float64(win))
-		s.dmaSeries.Append(now, float64(dmaBusy-s.lastDMABusy)/float64(win))
 		bytes := s.meter.Bytes()
 		s.thrSeries.Append(now, float64(bytes-s.lastBytes)*8/win.Seconds()/1e9)
-		s.lastNICBusy, s.lastCPUBusy, s.lastDMABusy, s.lastBytes = nicBusy, cpuBusy, dmaBusy, bytes
+		s.lastNICBusy, s.lastCPUBusy, s.lastBytes = nicBusy, cpuBusy, bytes
 	}
 	s.lastSample = now
 	s.eng.After(s.cfg.SampleEvery, s.sample)
-}
-
-// WindowStats returns utilization and delivered throughput over the last
-// completed telemetry window (or zeros when sampling is disabled). It is
-// the load signal the orchestrator's poller consumes. dmaUtil is the DMA
-// engines' busy fraction — zero when the DMA stage is disabled — so the
-// virtual-time detector sees the same three-resource signal as the
-// emulator's demand sampler.
-func (s *Sim) WindowStats() (nicUtil, cpuUtil, dmaUtil, deliveredGbps float64) {
-	if p, ok := s.nicSeries.Last(); ok {
-		nicUtil = p.V
-	}
-	if p, ok := s.cpuSeries.Last(); ok {
-		cpuUtil = p.V
-	}
-	if p, ok := s.dmaSeries.Last(); ok {
-		dmaUtil = p.V
-	}
-	if p, ok := s.thrSeries.Last(); ok {
-		deliveredGbps = p.V
-	}
-	return nicUtil, cpuUtil, dmaUtil, deliveredGbps
 }
 
 // Result summarizes a finished run.
@@ -379,11 +318,9 @@ type Result struct {
 	LossRate      float64
 	NICUtil       float64
 	CPUUtil       float64
-	Migrations    int
 	Duration      time.Duration
 	NICSeries     []metrics.Point
 	CPUSeries     []metrics.Point
-	DMASeries     []metrics.Point
 	ThrSeries     []metrics.Point
 }
 
@@ -392,7 +329,6 @@ type Result struct {
 func (s *Sim) Run(until time.Duration) Result {
 	s.eng.Run(until)
 	el := s.eng.Now()
-	meas := el - s.cfg.Warmup
 	var offered float64
 	if el > 0 {
 		offered = float64(s.offeredBytes) * 8 / el.Seconds() / 1e9
@@ -400,7 +336,7 @@ func (s *Sim) Run(until time.Duration) Result {
 	// The delivery window ends at the last observed egress, so a drain
 	// period after the source stops does not dilute the measured rate; the
 	// same window bounds utilization for consistency.
-	res := Result{
+	return Result{
 		Latency:       s.latency.Snapshot(),
 		Hist:          s.latency,
 		OfferedPkts:   s.offeredPkts,
@@ -411,15 +347,11 @@ func (s *Sim) Run(until time.Duration) Result {
 		LossRate:      s.meter.LossRate(),
 		NICUtil:       s.nic.Utilization(minDur(el, s.cfg.Warmup+s.meter.Elapsed())),
 		CPUUtil:       s.cpu.Utilization(minDur(el, s.cfg.Warmup+s.meter.Elapsed())),
-		Migrations:    s.migrations,
 		Duration:      el,
 		NICSeries:     s.nicSeries.Points(),
 		CPUSeries:     s.cpuSeries.Points(),
-		DMASeries:     s.dmaSeries.Points(),
 		ThrSeries:     s.thrSeries.Points(),
 	}
-	_ = meas
-	return res
 }
 
 func minDur(a, b time.Duration) time.Duration {

@@ -133,46 +133,6 @@ func TestPoliciesReproduceFigure2Ordering(t *testing.T) {
 	}
 }
 
-func TestSetPlacementMidRun(t *testing.T) {
-	// Start overloaded, migrate per PAM mid-run, and verify delivered
-	// throughput in the post-migration window exceeds the pre-migration
-	// window.
-	p := scenario.DefaultParams()
-	cfg := figConfig(t, scenario.Figure1Chain())
-	cfg.SampleEvery = 10 * time.Millisecond
-	cfg.Warmup = 0
-	s, err := chainsim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := traffic.NewGen(2.5, traffic.FixedSize(1024), traffic.ProcessCBR, 16, 0, 600*time.Millisecond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Inject(src)
-	s.Run(200 * time.Millisecond)
-	_, _, _, before := s.WindowStats()
-
-	// Decide from telemetry: the measured (delivered) throughput is the
-	// θcur the controller sees.
-	v := scenario.View(s.Placement(), p, device.Gbps(before))
-	plan, err := core.PAM{}.Select(v)
-	if err != nil {
-		t.Fatalf("PAM: %v", err)
-	}
-	if err := s.SetPlacement(plan.Result); err != nil {
-		t.Fatalf("SetPlacement: %v", err)
-	}
-	res := s.Run(500 * time.Millisecond)
-	_, _, _, after := s.WindowStats()
-	if after <= before {
-		t.Errorf("throughput did not improve after migration: before=%.3f after=%.3f", before, after)
-	}
-	if res.Migrations != 1 {
-		t.Errorf("migrations = %d, want 1", res.Migrations)
-	}
-}
-
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	p := scenario.DefaultParams()
 	_ = p

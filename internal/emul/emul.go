@@ -1158,15 +1158,10 @@ func (el *element) unfreeze() {
 // element.freeze). Callers hold el.migMu.
 func (el *element) doMigrate(to device.Kind) (migrate.Report, error) {
 	r := el.parent
-	from := device.Kind(el.loc.Load())
-	if from == to {
+	if device.Kind(el.loc.Load()) == to {
 		return migrate.Report{Element: el.name}, nil
 	}
-	rate, err := r.cfg.Catalog.Lookup(el.typ, to)
-	if err != nil {
-		return migrate.Report{}, err
-	}
-	gate, err := r.gateFor(to)
+	rehome, err := el.rehome(to)
 	if err != nil {
 		return migrate.Report{}, err
 	}
@@ -1193,32 +1188,51 @@ func (el *element) doMigrate(to device.Kind) (migrate.Report, error) {
 	// The element is frozen (every owner acked), so no ProcessBatch call is
 	// in flight anywhere: the swap is a plain publish.
 	el.inst.Store(&fresh)
-	// Cut the telemetry attribution before the placement flips: everything
-	// metered up to this instant was served on — and must be priced at the
-	// catalog capacity of — the old device. The element is still frozen, so
-	// the served meters are stable; offered counters may tick from upstream
-	// forwarding into the freeze buffers, which only shifts frames neither
-	// device has served yet.
-	el.epochMu.Lock()
-	el.epochs = append(el.epochs, locEpoch{
-		loc:          from,
-		bytes:        el.meter.Bytes(),
-		pkts:         el.meter.Packets(),
-		drops:        el.meter.Drops(),
-		offeredBytes: el.offeredBytes.Load(),
-		offeredPkts:  el.offeredPkts.Load(),
-	})
-	el.epochMu.Unlock()
-	el.loc.Store(int32(to))
-	// Re-attach to the destination device's shared gate at the catalog rate
-	// there. Attach/detach moves only the resident bookkeeping — the gates'
-	// banked tokens are untouched, so the freeze window neither leaks nor
-	// mints device budget; and because the byte→device-second divisor
-	// changes with the rate, an element migrated fast→slow cannot carry the
-	// old device's cheaper costing into its first post-migration burst.
-	el.place(gate, bytesPerSec(rate, r.cfg.Scale))
+	rehome()
 	rep.Replayed = rep.Buffered // FIFO consumption replays the queues
 	return rep, nil
+}
+
+// rehome resolves the catalog rate and the shared gate the element would
+// run at on device to, and returns the step that moves it there. Resolving
+// first lets a caller fail before it touches any state. The step cuts the
+// telemetry attribution before the placement flips: everything metered up
+// to that instant was served on — and must be priced at the catalog
+// capacity of — the old device. Callers hold el.migMu and run the step with
+// the element frozen, so the served meters are stable; offered counters may
+// tick from upstream forwarding into the freeze buffers, which only shifts
+// frames neither device has served yet.
+func (el *element) rehome(to device.Kind) (func(), error) {
+	r := el.parent
+	rate, err := r.cfg.Catalog.Lookup(el.typ, to)
+	if err != nil {
+		return nil, err
+	}
+	gate, err := r.gateFor(to)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		el.epochMu.Lock()
+		el.epochs = append(el.epochs, locEpoch{
+			loc:          device.Kind(el.loc.Load()),
+			bytes:        el.meter.Bytes(),
+			pkts:         el.meter.Packets(),
+			drops:        el.meter.Drops(),
+			offeredBytes: el.offeredBytes.Load(),
+			offeredPkts:  el.offeredPkts.Load(),
+		})
+		el.epochMu.Unlock()
+		el.loc.Store(int32(to))
+		// Re-attach to the destination device's shared gate at the catalog
+		// rate there. Attach/detach moves only the resident bookkeeping —
+		// the gates' banked tokens are untouched, so the freeze window
+		// neither leaks nor mints device budget; and because the
+		// byte→device-second divisor changes with the rate, an element
+		// migrated fast→slow cannot carry the old device's cheaper costing
+		// into its first post-migration burst.
+		el.place(gate, bytesPerSec(rate, r.cfg.Scale))
+	}, nil
 }
 
 // MigrateChain live-moves the named element of the given chain to the
@@ -1232,16 +1246,11 @@ func (r *Runtime) MigrateChain(ci int, name string, to device.Kind) (migrate.Rep
 	// the rendezvous must be atomic with respect to Close.
 	r.closeMu.RLock()
 	defer r.closeMu.RUnlock()
-	if !r.started.Load() {
-		return migrate.Report{}, errors.New("emul: not started")
+	tc, err := r.findChain(ci)
+	if err != nil {
+		return migrate.Report{}, err
 	}
-	if r.closed.Load() {
-		return migrate.Report{}, errors.New("emul: closed")
-	}
-	if ci < 0 || ci >= len(r.chains) {
-		return migrate.Report{}, fmt.Errorf("emul: no chain %d", ci)
-	}
-	for _, el := range r.chains[ci].elems {
+	for _, el := range tc.elems {
 		if el.name != name {
 			continue
 		}
@@ -1249,7 +1258,7 @@ func (r *Runtime) MigrateChain(ci int, name string, to device.Kind) (migrate.Rep
 		defer el.migMu.Unlock()
 		return el.doMigrate(to)
 	}
-	return migrate.Report{}, fmt.Errorf("emul: no element %q in chain %q", name, r.chains[ci].name)
+	return migrate.Report{}, fmt.Errorf("emul: no element %q in chain %q", name, tc.name)
 }
 
 // Scale returns the effective rate divisor the runtime was built with;

@@ -64,7 +64,7 @@ type ElementSnapshot struct {
 }
 
 // findChain resolves a chain index with the started/closed/range checks
-// every handoff hook shares. Callers hold closeMu.RLock.
+// every handoff hook and MigrateChain share. Callers hold closeMu.RLock.
 func (r *Runtime) findChain(ci int) (*tenantChain, error) {
 	if !r.started.Load() {
 		return nil, errors.New("emul: not started")
@@ -269,7 +269,6 @@ func (r *Runtime) RestoreChain(ci int, snap ChainSnapshot) (stateBytes int, err 
 // element re-places onto the snapshot's device. Callers hold el.migMu with
 // the element frozen.
 func (el *element) restoreFrom(es ElementSnapshot) error {
-	r := el.parent
 	fresh, err := nf.New(el.name, el.typ)
 	if err != nil {
 		return err
@@ -286,32 +285,14 @@ func (el *element) restoreFrom(es ElementSnapshot) error {
 	// Frozen: no ProcessBatch call is in flight anywhere, so the swap is a
 	// plain publish (same argument as doMigrate).
 	el.inst.Store(&fresh)
-	from := device.Kind(el.loc.Load())
-	if from == es.Loc {
+	if device.Kind(el.loc.Load()) == es.Loc {
 		return nil
 	}
-	rate, err := r.cfg.Catalog.Lookup(el.typ, es.Loc)
+	// Re-place onto the snapshot's device exactly as a local migration does.
+	rehome, err := el.rehome(es.Loc)
 	if err != nil {
 		return err
 	}
-	gate, err := r.gateFor(es.Loc)
-	if err != nil {
-		return err
-	}
-	// Cut the telemetry attribution before the placement flips, exactly as
-	// a local migration does: anything this element served so far was on
-	// the old device.
-	el.epochMu.Lock()
-	el.epochs = append(el.epochs, locEpoch{
-		loc:          from,
-		bytes:        el.meter.Bytes(),
-		pkts:         el.meter.Packets(),
-		drops:        el.meter.Drops(),
-		offeredBytes: el.offeredBytes.Load(),
-		offeredPkts:  el.offeredPkts.Load(),
-	})
-	el.epochMu.Unlock()
-	el.loc.Store(int32(es.Loc))
-	el.place(gate, bytesPerSec(rate, r.cfg.Scale))
+	rehome()
 	return nil
 }

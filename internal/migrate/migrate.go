@@ -12,7 +12,7 @@
 //     live traffic resumes.
 //
 // The package provides the state mover and the transfer-cost model; the
-// execution emulator and the orchestrator drive them. The freeze buffer is
+// execution emulator's live migration drives them. The freeze buffer is
 // the frozen element's own input rings: frames queue there during the move
 // and drain at the destination.
 package migrate
@@ -29,12 +29,6 @@ import (
 // ErrTypeMismatch reports source/destination of different catalog types.
 var ErrTypeMismatch = errors.New("migrate: source and destination types differ")
 
-// Transport models the cost of moving a state snapshot between devices.
-type Transport interface {
-	// TransferTime returns how long moving n bytes takes.
-	TransferTime(n int) time.Duration
-}
-
 // PCIeTransport moves snapshots across the NIC↔CPU PCIe link, paying the
 // link's propagation latency once per direction plus serialization at the
 // link bandwidth, and a fixed control-plane setup cost (UNO reports
@@ -44,7 +38,7 @@ type PCIeTransport struct {
 	Setup time.Duration // control-plane handshake; negative values clamp to 0
 }
 
-// TransferTime implements Transport.
+// TransferTime returns how long moving n bytes takes.
 func (t PCIeTransport) TransferTime(n int) time.Duration {
 	d := t.Setup
 	if d < 0 {
@@ -72,8 +66,8 @@ func (r Report) String() string {
 // Move transfers dynamic state from src to dst (same catalog type). When the
 // type is stateless (does not implement nf.Stateful) the move is just the
 // control-plane handshake. The returned report carries the modelled transfer
-// time; the caller (emulator/orchestrator) applies it as downtime.
-func Move(src, dst nf.NF, tr Transport) (Report, error) {
+// time; the caller applies it as downtime.
+func Move(src, dst nf.NF, tr PCIeTransport) (Report, error) {
 	if src.Type() != dst.Type() {
 		return Report{}, fmt.Errorf("%w: %s vs %s", ErrTypeMismatch, src.Type(), dst.Type())
 	}

@@ -1,18 +1,18 @@
 package orchestrator
 
-// The wall-clock backend: the same control loop as the DES Orchestrator,
-// closed over the execution emulator. Telemetry comes from measured meter
-// windows (emul.LoadSampler) summed across every hosted tenant chain,
-// selection runs over a multi-chain view built from the runtime's live
-// placements and the measured per-chain delivered rates (rescaled so their
-// total is the detector's smoothed measured throughput), and plans execute
-// as real UNO-style migrations (emul.Runtime.MigrateChain), chain by chain:
-// every shard of the migrating element frozen, state snapshot transferred
-// over the emulated link, queues replayed — while every other tenant keeps
-// forwarding. This is the first place all layers of the repository run in
-// one process.
+// The loop's driver over the execution emulator. Telemetry comes from
+// measured meter windows (emul.LoadSampler) summed across every hosted
+// tenant chain, selection runs over a multi-chain view built from the
+// runtime's live placements and the measured per-chain delivered rates
+// (rescaled so their total is the detector's smoothed measured throughput),
+// and plans execute as real UNO-style migrations
+// (emul.Runtime.MigrateChain), chain by chain: every shard of the migrating
+// element frozen, state snapshot transferred over the emulated link, queues
+// replayed — while every other tenant keeps forwarding. This is the first
+// place all layers of the repository run in one process.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -26,18 +26,47 @@ import (
 // Live drives the control loop over an execution-emulator runtime on
 // wall-clock time.
 type Live struct {
-	*loop
-	rt      *emul.Runtime
-	sampler *emul.LoadSampler
+	cfg      Config
+	sel      core.MultiSelector
+	detector *telemetry.Detector
+	rt       *emul.Runtime
+	sampler  *emul.LoadSampler
+	// template supplies the device models and catalog of every selection
+	// view; view replaces its chains and throughputs with live values.
+	template core.View
+
+	// decideMu serializes whole decisions (detect → select → execute), so
+	// concurrent polls — the background ticker plus a manual Poll — cannot
+	// both slip past the cooldown check and execute overlapping plans. mu
+	// guards only the decision state below and is taken while decideMu is
+	// held.
+	decideMu sync.Mutex
+
+	mu       sync.Mutex
+	events   []Event
+	lastMove time.Duration
+	moved    bool // a plan (possibly partial) has executed; lastMove is set
+	migrated int
+	history  []Migration
+	// pushed is the reclaim-candidate stack: fully executed plan steps in
+	// order, popped as reclaims undo them (LIFO — the last push-aside is
+	// the first offload restored).
+	pushed   []Migration
+	calm     int // consecutive below-ClearThreshold windows (reclaim gate)
+	armed    int // consecutive windows the reclaim headroom guard held
+	reclaims int
+	// escalate, when set, receives the structured scale-out report for
+	// every terminal-case episode (see OnEscalation).
+	escalate func(core.Escalation)
 
 	smu     sync.Mutex
 	samples []emul.LoadSample
 	// perChain smooths each hosted chain's measured delivered rate (catalog
 	// units, parallel to the runtime's chains) over the non-degenerate
-	// windows with the detector's EWMA factor — the per-chain mix the
-	// selection view apportions the smoothed throughput by. A single window's dip in one tenant's delivery must
-	// not re-rank the tenants: an overload control reacts to the smoothed
-	// rate, not to one window.
+	// windows with the detector's EWMA factor. The selection view
+	// apportions the smoothed throughput by this mix: a single window's dip
+	// in one tenant's delivery must not re-rank the tenants, because an
+	// overload control reacts to the smoothed rate, not to one window.
 	perChain []telemetry.EWMA
 	// nicUtil/cpuUtil/dmaUtil are the last window's measured *demand*
 	// utilizations (Σ offered/θ per device; offered crossing load over the
@@ -55,34 +84,62 @@ type Live struct {
 // NewLive attaches a control loop to a started (or about-to-start) runtime.
 // viewTemplate supplies the device models and catalog; the view's chains
 // and throughputs are replaced at each decision with the runtime's live
-// placements and the measured (smoothed) delivered rates. Config.Transport
-// and Config.StateBytes are ignored: the emulator measures real snapshot
-// sizes and reports real transfer times. A runtime hosting several chains
-// needs Config.MultiSelector (e.g. core.MultiPAM); Config.Selector covers
-// the single-chain case.
+// placements and the measured (smoothed) delivered rates. A runtime hosting
+// several chains needs Config.MultiSelector (e.g. core.MultiPAM);
+// Config.Selector covers the single-chain case.
 func NewLive(rt *emul.Runtime, cfg Config, viewTemplate core.View) (*Live, error) {
-	o := &Live{rt: rt, sampler: emul.NewLoadSampler(rt)}
-	view := func() core.MultiView {
-		placements := rt.Placements()
-		loads := make([]core.Load, len(placements))
-		o.smu.Lock()
-		for i, c := range placements {
-			loads[i] = core.Load{Chain: c, Throughput: device.MeasuredGbps(o.perChain[i].Value())}
-		}
-		nicU, cpuU, dmaU := o.nicUtil, o.cpuUtil, o.dmaUtil
-		o.smu.Unlock()
-		return multiViewFrom(viewTemplate, loads, nicU, cpuU, dmaU)
+	if cfg.PollEvery <= 0 {
+		return nil, errors.New("orchestrator: PollEvery must be positive")
 	}
-	l, err := newLoop(cfg, view, o.execute)
+	sel, err := cfg.selector()
 	if err != nil {
 		return nil, err
 	}
-	o.loop = l
-	o.perChain = make([]telemetry.EWMA, len(rt.Placements()))
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 2 * cfg.PollEvery
+	}
+	o := &Live{
+		cfg:      cfg,
+		sel:      sel,
+		detector: telemetry.NewDetector(cfg.Detector),
+		rt:       rt,
+		sampler:  emul.NewLoadSampler(rt),
+		template: viewTemplate,
+		perChain: make([]telemetry.EWMA, len(rt.Placements())),
+	}
 	for i := range o.perChain {
-		o.perChain[i].Alpha = l.detector.Config().Alpha
+		o.perChain[i].Alpha = o.detector.Config().Alpha
 	}
 	return o, nil
+}
+
+// view assembles the selection view: the template's devices and catalog
+// around the runtime's live placements and smoothed per-chain rates, plus
+// the last window's measured demand utilizations. The shared device gates
+// collapse delivered throughput, so the fluid model at θcur goes blind
+// during the very overload being handled; the measured utilizations carry
+// the demand into the selector's overload check, and the DMA one makes a
+// crossing-bound overload — the shared DMA engine saturated while both
+// devices stay feasible — selectable at all.
+func (o *Live) view() core.MultiView {
+	placements := o.rt.Placements()
+	loads := make([]core.Load, len(placements))
+	o.smu.Lock()
+	defer o.smu.Unlock()
+	for i, c := range placements {
+		loads[i] = core.Load{Chain: c, Throughput: device.MeasuredGbps(o.perChain[i].Value())}
+	}
+	return core.MultiView{
+		Loads:             loads,
+		Catalog:           o.template.Catalog,
+		NIC:               o.template.NIC,
+		CPU:               o.template.CPU,
+		BorderMode:        o.template.BorderMode,
+		OverloadThreshold: o.template.OverloadThreshold,
+		MeasuredNICUtil:   o.nicUtil,
+		MeasuredCPUUtil:   o.cpuUtil,
+		MeasuredDMAUtil:   o.dmaUtil,
+	}
 }
 
 // execute applies the plan step by step via live migration, addressing each
@@ -148,12 +205,6 @@ func (o *Live) LastSample() (emul.LoadSample, bool) {
 // Runtime exposes the dataplane this loop controls (the fleet agent
 // executes chain handoffs against it).
 func (o *Live) Runtime() *emul.Runtime { return o.rt }
-
-// NoteExternalMove is NoteExternalMove on the underlying loop stamped with
-// the runtime's clock.
-func (o *Live) NoteExternalMove(chainIdx int) {
-	o.loop.NoteExternalMove(o.rt.Elapsed(), chainIdx)
-}
 
 // Start launches the background poller. Stop (or abandoning the runtime)
 // ends it; Start after Stop restarts it.

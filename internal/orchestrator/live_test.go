@@ -1,6 +1,7 @@
 package orchestrator_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -52,13 +53,14 @@ func (pushAside) Select(v core.View) (core.Plan, error) {
 	}, nil
 }
 
-// noPlan is a test selector whose episodes never produce an executable plan.
-type noPlan struct{}
+// noPlan is a test selector whose episodes never produce an executable
+// plan: every Select returns the terminal verdict err.
+type noPlan struct{ err error }
 
 func (noPlan) Name() string { return "no-plan-stub" }
 
-func (noPlan) Select(core.View) (core.Plan, error) {
-	return core.Plan{}, core.ErrBothOverloaded
+func (s noPlan) Select(core.View) (core.Plan, error) {
+	return core.Plan{}, s.err
 }
 
 // hairTrigger fires the detector on any served traffic — one hot window at
@@ -142,39 +144,58 @@ func TestLiveLoopExecutesRealMigration(t *testing.T) {
 }
 
 func TestLiveLoopSkipsAndRearmsOnUnexecutablePlan(t *testing.T) {
-	rt := newLiveRuntime(t)
-	rt.Start()
-	defer rt.Close()
-	p := scenario.DefaultParams()
 	// Every fired episode yields the both-overloaded terminal error, is
-	// logged as a structured escalation, and the detector re-arms so the
-	// next hot window can fire a genuine retry.
-	live, err := orchestrator.NewLive(rt, orchestrator.Config{
-		PollEvery: 10 * time.Millisecond,
-		Selector:  noPlan{},
-		Detector:  hairTrigger(),
-	}, scenario.View(scenario.Figure1Chain(), p, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		sendFrames(t, rt, 100)
-		live.Poll()
-	}
-	evs := live.Events()
-	if len(evs) < 2 {
-		t.Fatalf("want repeated escalation events after re-arm, got %+v", evs)
-	}
-	for _, e := range evs {
-		if e.Kind != orchestrator.EventEscalated {
-			t.Errorf("unexpected event %+v", e)
-		}
-	}
-	if live.Migrations() != 0 {
-		t.Errorf("migrated without overload: %s", live.Describe())
-	}
-	if live.Detector().Events() < 2 {
-		t.Errorf("detector did not re-arm: %d episodes", live.Detector().Events())
+	// logged as a structured escalation carrying the reason the verdict was
+	// reached by, and the detector re-arms so the next hot window can fire
+	// a genuine retry. The bare verdict means measured demand past the
+	// threshold on both devices; joined with core.ErrNoCandidate it means
+	// the candidates ran out.
+	for _, tc := range []struct {
+		name   string
+		err    error
+		reason core.EscalationReason
+	}{
+		{"both-overloaded", core.ErrBothOverloaded, core.EscalateBothOverloaded},
+		{"no-feasible-plan", errors.Join(core.ErrBothOverloaded, core.ErrNoCandidate), core.EscalateNoFeasiblePlan},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newLiveRuntime(t)
+			rt.Start()
+			defer rt.Close()
+			p := scenario.DefaultParams()
+			live, err := orchestrator.NewLive(rt, orchestrator.Config{
+				PollEvery: 10 * time.Millisecond,
+				Selector:  noPlan{err: tc.err},
+				Detector:  hairTrigger(),
+			}, scenario.View(scenario.Figure1Chain(), p, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				sendFrames(t, rt, 100)
+				live.Poll()
+			}
+			evs := live.Events()
+			if len(evs) < 2 {
+				t.Fatalf("want repeated escalation events after re-arm, got %+v", evs)
+			}
+			for _, e := range evs {
+				switch {
+				case e.Kind != orchestrator.EventEscalated:
+					t.Errorf("unexpected event %+v", e)
+				case e.Escalation == nil:
+					t.Error("escalated event carries no structured report")
+				case e.Escalation.Reason != tc.reason:
+					t.Errorf("reason = %v, want %v", e.Escalation.Reason, tc.reason)
+				}
+			}
+			if live.Migrations() != 0 {
+				t.Errorf("migrated without overload: %s", live.Describe())
+			}
+			if live.Detector().Events() < 2 {
+				t.Errorf("detector did not re-arm: %d episodes", live.Detector().Events())
+			}
+		})
 	}
 }
 
@@ -205,6 +226,54 @@ func TestLiveLoopBackgroundPoller(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if len(live.Samples()) != n {
 		t.Error("poller still sampling after Stop")
+	}
+	// The runtime carried no traffic, so the loop must stay quiet.
+	if live.Migrations() != 0 || len(live.Events()) != 0 {
+		t.Errorf("idle runtime: %d migrations, events:\n%s", live.Migrations(), live.Describe())
+	}
+}
+
+func TestControlLoopQuietWhenUnderloaded(t *testing.T) {
+	// A trickle of traffic well inside the scaled NIC budget: the real PAM
+	// policy over the default threshold must neither fire nor migrate.
+	rt := newLiveRuntime(t)
+	rt.Start()
+	defer rt.Close()
+	p := scenario.DefaultParams()
+	live, err := orchestrator.NewLive(rt, orchestrator.Config{
+		PollEvery: 5 * time.Millisecond,
+		Selector:  core.PAM{},
+		Detector:  telemetry.DetectorConfig{Consecutive: 3, Alpha: 0.5},
+	}, scenario.View(scenario.Figure1Chain(), p, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peak float64
+	for i := 0; i < 5; i++ {
+		sendFrames(t, rt, 4)
+		time.Sleep(20 * time.Millisecond)
+		live.Poll()
+		if s, ok := live.LastSample(); ok && s.NIC.Utilization > peak {
+			peak = s.NIC.Utilization
+		}
+	}
+	t.Logf("peak NIC utilization %.3f", peak)
+	if n := len(live.Samples()); n != 5 || peak == 0 {
+		t.Fatalf("loop saw %d windows, peak NIC utilization %.3f: want 5 windows carrying traffic", n, peak)
+	}
+	if live.Migrations() != 0 || len(live.Events()) != 0 {
+		t.Errorf("migrated under calm load: %d migrations\n%s", live.Migrations(), live.Describe())
+	}
+}
+
+func TestNewValidation(t *testing.T) {
+	rt := newLiveRuntime(t)
+	if _, err := orchestrator.NewLive(rt, orchestrator.Config{PollEvery: -time.Second, Selector: core.PAM{}}, core.View{}); err == nil {
+		t.Error("negative PollEvery accepted")
+	}
+	both := orchestrator.Config{PollEvery: time.Second, Selector: core.PAM{}, MultiSelector: core.MultiPAM{}}
+	if _, err := orchestrator.NewLive(rt, both, core.View{}); err == nil {
+		t.Error("Selector and MultiSelector both accepted")
 	}
 }
 

@@ -1,42 +1,37 @@
-package orchestrator
-
-// The engine-agnostic core of the control plane. Both backends — the
-// discrete-event simulator (virtual time, orchestrator.go) and the execution
-// emulator (wall-clock, live.go) — drive the same loop: feed one telemetry
-// window to the overload detector, and when an episode fires, run the
-// selector over a freshly built view and hand the plan to the backend's
-// executor. Policy (detector hysteresis, cooldown, migration budget, event
-// logging) lives here exactly once, so a control decision reproduced in
-// virtual time is the same decision the emulator executes against real
-// packet-processing code.
+// Package orchestrator closes the paper's control loop over the execution
+// emulator: periodically poll device load (telemetry), detect SmartNIC hot
+// spots, run a selection policy (PAM, Multi-PAM or a naive baseline), and
+// execute the plan as live migrations.
 //
-// The loop is natively multi-chain: it polls a core.MultiView (per-chain
-// placements and measured throughputs over shared devices), runs a
-// core.MultiSelector, and hands the resulting core.MultiPlan to the backend
-// to execute chain by chain. A single-chain deployment is the one-load
-// special case — Config.Selector wraps the paper's single-chain policies
-// through core.AsMulti, and every decision reduces to exactly the PR-2
-// behaviour.
+// Live (live.go) is the loop's one driver. It polls an emul.LoadSampler on
+// wall-clock time, so overload is detected from measured meter windows
+// summed across every hosted tenant chain, and it executes plans as real
+// UNO freeze/transfer/restore migrations. The decision policy — detector
+// hysteresis, cooldown, offload reclaim, escalation and the event log —
+// lives here. It is natively multi-chain: it polls a core.MultiView
+// (per-chain placements and measured throughputs over shared devices), runs
+// a core.MultiSelector and executes the core.MultiPlan chain by chain. A
+// single-chain deployment is the one-load special case: Config.Selector
+// wraps the paper's single-chain policies through core.AsMulti. See
+// DESIGN.md §4.
+package orchestrator
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/migrate"
 	"repro/internal/telemetry"
 )
 
-// Config parameterizes the control loop; it is shared by both backends.
+// Config parameterizes the control loop.
 type Config struct {
 	// PollEvery is the telemetry query period (the paper's "periodically
-	// query the load"). In the DES backend it must match or exceed the
-	// simulation's SampleEvery; in the live backend it is the wall-clock
-	// sampling period.
+	// query the load"): the wall-clock sampling period of the background
+	// poller.
 	PollEvery time.Duration
 	// Selector decides what to migrate on overload in a single-chain
 	// deployment; it is lifted into the multi-chain loop via core.AsMulti.
@@ -47,17 +42,6 @@ type Config struct {
 	MultiSelector core.MultiSelector
 	// Detector tunes overload detection; zero value uses defaults.
 	Detector telemetry.DetectorConfig
-	// Transport models state-transfer cost; nil disables migration delay.
-	// Only the DES backend uses it — the emulator measures real snapshot
-	// sizes and reports real transfer times.
-	Transport migrate.Transport
-	// StateBytes approximates the per-vNF snapshot size for the transfer
-	// model (the DES has no materialized NF state; the emulator measures
-	// real sizes). Default 64 KiB.
-	StateBytes int
-	// MaxMigrations bounds how many plans get executed (0 = unbounded).
-	// Reclaims (see ReclaimAfter) do not count against the budget.
-	MaxMigrations int
 	// Cooldown suppresses new plans for this long after one executes
 	// (default 2×PollEvery). Reclaims honor it too.
 	Cooldown time.Duration
@@ -117,9 +101,6 @@ const (
 	// EventCooldown records an overload episode suppressed because the
 	// previous migration is still within Config.Cooldown.
 	EventCooldown
-	// EventLimited records an overload episode suppressed by
-	// Config.MaxMigrations.
-	EventLimited
 	// EventReclaimed records an executed reclaim: a previously pushed-aside
 	// element migrated back to its original device after the overload
 	// passed (Config.ReclaimAfter).
@@ -143,8 +124,6 @@ func (k EventKind) String() string {
 		return "skipped"
 	case EventCooldown:
 		return "cooldown"
-	case EventLimited:
-		return "limit-reached"
 	case EventReclaimed:
 		return "reclaimed"
 	case EventEscalated:
@@ -201,144 +180,82 @@ func FindPingPongs(hist []Migration, horizon time.Duration) []PingPong {
 	return out
 }
 
-// loop is the shared poll/detect/select/execute state machine. exec applies
-// a plan to the backend's dataplane, chain by chain, and returns the
-// migration downtime it incurred (modelled for the DES, measured for the
-// emulator).
-type loop struct {
-	cfg      Config
-	sel      core.MultiSelector
-	detector *telemetry.Detector
-	view     func() core.MultiView
-	exec     func(plan core.MultiPlan) (time.Duration, error)
-
-	// decideMu serializes whole decisions (detect → select → execute), so
-	// concurrent polls — the live backend's background ticker plus a manual
-	// Poll — cannot both slip past the cooldown/budget checks and execute
-	// overlapping plans. mu guards only the fields below and is safe to
-	// take from exec callbacks while decideMu is held.
-	decideMu sync.Mutex
-
-	mu       sync.Mutex
-	events   []Event
-	lastMove time.Duration
-	moved    bool // a plan (possibly partial) has executed; lastMove is set
-	migrated int
-	history  []Migration
-	// pushed is the reclaim-candidate stack: fully executed plan steps in
-	// order, popped as reclaims undo them (LIFO — the last push-aside is
-	// the first offload restored).
-	pushed   []Migration
-	calm     int // consecutive below-ClearThreshold windows (reclaim gate)
-	armed    int // consecutive windows the reclaim headroom guard held
-	reclaims int
-	// escalate, when set, receives the structured scale-out report for
-	// every terminal-case episode (see OnEscalation).
-	escalate func(core.Escalation)
-}
-
-func newLoop(cfg Config, view func() core.MultiView, exec func(core.MultiPlan) (time.Duration, error)) (*loop, error) {
-	if cfg.PollEvery <= 0 {
-		return nil, errors.New("orchestrator: PollEvery must be positive")
-	}
-	sel, err := cfg.selector()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.StateBytes <= 0 {
-		cfg.StateBytes = 64 << 10
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2 * cfg.PollEvery
-	}
-	return &loop{
-		cfg:      cfg,
-		sel:      sel,
-		detector: telemetry.NewDetector(cfg.Detector),
-		view:     view,
-		exec:     exec,
-	}, nil
-}
-
 // observe feeds one telemetry window to the detector and, when an overload
-// episode fires, runs selection and execution. now is the backend's clock
-// (virtual or wall) and timestamps any resulting event.
-func (l *loop) observe(now time.Duration, s telemetry.Sample) {
-	l.decideMu.Lock()
-	defer l.decideMu.Unlock()
+// episode fires, runs selection and execution. now is the runtime's clock
+// and timestamps any resulting event.
+func (o *Live) observe(now time.Duration, s telemetry.Sample) {
+	o.decideMu.Lock()
+	defer o.decideMu.Unlock()
 
-	fire, throughput := l.detector.Observe(s)
+	fire, throughput := o.detector.Observe(s)
 	if !fire {
-		l.maybeReclaim(now, throughput)
+		o.maybeReclaim(now, throughput)
 		return
 	}
-	l.mu.Lock()
-	if l.cfg.MaxMigrations > 0 && l.migrated >= l.cfg.MaxMigrations {
-		l.events = append(l.events, Event{At: now, Kind: EventLimited})
-		l.mu.Unlock()
+	o.mu.Lock()
+	if o.moved && now-o.lastMove < o.cfg.Cooldown {
+		o.events = append(o.events, Event{At: now, Kind: EventCooldown})
+		o.mu.Unlock()
 		return
 	}
-	if l.moved && now-l.lastMove < l.cfg.Cooldown {
-		l.events = append(l.events, Event{At: now, Kind: EventCooldown})
-		l.mu.Unlock()
-		return
-	}
-	l.mu.Unlock()
+	o.mu.Unlock()
 
-	v := l.view()
+	v := o.view()
 	rescale(v.Loads, throughput)
-	plan, err := l.sel.SelectMulti(v)
+	plan, err := o.sel.SelectMulti(v)
 	if err != nil {
 		// The episode produced no executable plan. Re-arm the detector so
 		// the decision is retried after another Consecutive hot windows:
 		// measured throughput moves, so a terminal verdict now (e.g.
 		// both-overloaded at this θcur) need not be terminal next window.
-		l.detector.Rearm()
+		o.detector.Rearm()
 		if errors.Is(err, core.ErrBothOverloaded) {
 			// The paper's scale-out terminal case: report it upward as a
 			// structured escalation rather than a dead-end skip, so a fleet
 			// tier can relieve the server by migrating a tenant away.
 			esc := escalationFrom(now, err, s, throughput)
-			l.mu.Lock()
-			l.events = append(l.events, Event{At: now, Kind: EventEscalated, Err: err, Escalation: &esc})
-			fn := l.escalate
-			l.mu.Unlock()
+			o.mu.Lock()
+			o.events = append(o.events, Event{At: now, Kind: EventEscalated, Err: err, Escalation: &esc})
+			fn := o.escalate
+			o.mu.Unlock()
 			if fn != nil {
 				fn(esc)
 			}
 			return
 		}
-		l.appendEvent(Event{At: now, Kind: EventSkipped, Err: err})
+		o.mu.Lock()
+		o.events = append(o.events, Event{At: now, Kind: EventSkipped, Err: err})
+		o.mu.Unlock()
 		return
 	}
-	downtime, err := l.exec(plan)
+	downtime, err := o.execute(plan)
 	if err != nil {
 		// Execution failed; re-arm for a retry like the no-plan case. A
 		// non-zero downtime means some steps did apply (a partial
 		// migration), so the cooldown still starts — the dataplane just
 		// moved and must settle before the next attempt.
-		l.detector.Rearm()
-		l.mu.Lock()
+		o.detector.Rearm()
+		o.mu.Lock()
 		if downtime > 0 {
-			l.moved = true
-			l.lastMove = now
+			o.moved = true
+			o.lastMove = now
 		}
-		l.events = append(l.events, Event{At: now, Kind: EventSkipped, Plan: plan, Err: err})
-		l.mu.Unlock()
+		o.events = append(o.events, Event{At: now, Kind: EventSkipped, Plan: plan, Err: err})
+		o.mu.Unlock()
 		return
 	}
-	l.mu.Lock()
-	l.moved = true
-	l.migrated++
-	l.lastMove = now
-	l.calm, l.armed = 0, 0
+	o.mu.Lock()
+	o.moved = true
+	o.migrated++
+	o.lastMove = now
+	o.calm, o.armed = 0, 0
 	for _, st := range plan.Steps {
 		m := Migration{At: now, ChainIndex: st.ChainIndex, Element: st.Step.Element, From: st.Step.From, To: st.Step.To}
-		l.history = append(l.history, m)
-		l.pushed = append(l.pushed, m)
+		o.history = append(o.history, m)
+		o.pushed = append(o.pushed, m)
 	}
-	l.events = append(l.events, Event{At: now, Kind: EventMigrated, Plan: plan, Downtime: downtime})
-	l.mu.Unlock()
+	o.events = append(o.events, Event{At: now, Kind: EventMigrated, Plan: plan, Downtime: downtime})
+	o.mu.Unlock()
 }
 
 // maybeReclaim runs the reclaim policy on a quiet window (no fire): after
@@ -346,61 +263,61 @@ func (l *loop) observe(now time.Duration, s telemetry.Sample) {
 // threshold, the most recently pushed element migrates back to the device
 // it came from — if the fluid model predicts the restored placement stays
 // below ClearThreshold. Called with decideMu held.
-func (l *loop) maybeReclaim(now time.Duration, throughput float64) {
-	if l.cfg.ReclaimAfter <= 0 {
+func (o *Live) maybeReclaim(now time.Duration, throughput float64) {
+	if o.cfg.ReclaimAfter <= 0 {
 		return
 	}
-	l.mu.Lock()
-	n := len(l.pushed)
-	l.mu.Unlock()
+	o.mu.Lock()
+	n := len(o.pushed)
+	o.mu.Unlock()
 	if n == 0 {
 		return
 	}
-	dcfg := l.detector.Config()
-	if l.detector.Fired() ||
-		l.detector.SmoothedUtil() >= dcfg.ClearThreshold ||
-		l.detector.SmoothedDMAUtil() >= dcfg.ClearThreshold {
-		l.mu.Lock()
-		l.calm, l.armed = 0, 0
-		l.mu.Unlock()
+	dcfg := o.detector.Config()
+	if o.detector.Fired() ||
+		o.detector.SmoothedUtil() >= dcfg.ClearThreshold ||
+		o.detector.SmoothedDMAUtil() >= dcfg.ClearThreshold {
+		o.mu.Lock()
+		o.calm, o.armed = 0, 0
+		o.mu.Unlock()
 		return
 	}
-	l.mu.Lock()
-	l.calm++
-	ready := l.calm >= l.cfg.ReclaimAfter && !(l.moved && now-l.lastMove < l.cfg.Cooldown)
-	cand := l.pushed[len(l.pushed)-1]
-	l.mu.Unlock()
+	o.mu.Lock()
+	o.calm++
+	ready := o.calm >= o.cfg.ReclaimAfter && !(o.moved && now-o.lastMove < o.cfg.Cooldown)
+	cand := o.pushed[len(o.pushed)-1]
+	o.mu.Unlock()
 	if !ready {
 		return
 	}
 
-	v := l.view()
+	v := o.view()
 	rescale(v.Loads, throughput)
 	plan, drop := reclaimPlan(v, cand, dcfg.ClearThreshold)
 	if drop {
 		// The element is no longer where the push left it (a later plan or
 		// an operator moved it); the candidate can never be reclaimed.
-		l.mu.Lock()
-		if len(l.pushed) > 0 {
-			l.pushed = l.pushed[:len(l.pushed)-1]
+		o.mu.Lock()
+		if len(o.pushed) > 0 {
+			o.pushed = o.pushed[:len(o.pushed)-1]
 		}
-		l.armed = 0
-		l.mu.Unlock()
+		o.armed = 0
+		o.mu.Unlock()
 		return
 	}
 	if plan == nil {
 		// Headroom guard: reclaiming now would re-approach overload. The
 		// guard must then hold for ReclaimAfter consecutive windows before a
 		// reclaim executes — re-arm the streak.
-		l.mu.Lock()
-		l.armed = 0
-		l.mu.Unlock()
+		o.mu.Lock()
+		o.armed = 0
+		o.mu.Unlock()
 		return
 	}
-	l.mu.Lock()
-	l.armed++
-	ok := l.armed >= l.cfg.ReclaimAfter
-	l.mu.Unlock()
+	o.mu.Lock()
+	o.armed++
+	ok := o.armed >= o.cfg.ReclaimAfter
+	o.mu.Unlock()
 	if !ok {
 		// The guard held this window, but a single window's measurements are
 		// noisy — a dwell boundary where the chain delivered little makes a
@@ -408,27 +325,27 @@ func (l *loop) maybeReclaim(now time.Duration, throughput float64) {
 		// same confirmation depth as the calm gate) executes.
 		return
 	}
-	downtime, err := l.exec(*plan)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.calm, l.armed = 0, 0
+	downtime, err := o.execute(*plan)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.calm, o.armed = 0, 0
 	if err != nil {
 		if downtime > 0 {
-			l.moved = true
-			l.lastMove = now
+			o.moved = true
+			o.lastMove = now
 		}
-		l.events = append(l.events, Event{At: now, Kind: EventSkipped, Plan: *plan, Err: err})
+		o.events = append(o.events, Event{At: now, Kind: EventSkipped, Plan: *plan, Err: err})
 		return
 	}
-	l.pushed = l.pushed[:len(l.pushed)-1]
-	l.moved = true
-	l.lastMove = now
-	l.reclaims++
-	l.history = append(l.history, Migration{
+	o.pushed = o.pushed[:len(o.pushed)-1]
+	o.moved = true
+	o.lastMove = now
+	o.reclaims++
+	o.history = append(o.history, Migration{
 		At: now, ChainIndex: cand.ChainIndex, Element: cand.Element,
 		From: cand.To, To: cand.From, Reclaim: true,
 	})
-	l.events = append(l.events, Event{At: now, Kind: EventReclaimed, Plan: *plan, Downtime: downtime})
+	o.events = append(o.events, Event{At: now, Kind: EventReclaimed, Plan: *plan, Downtime: downtime})
 }
 
 // reclaimPlan builds the reverse plan for a pushed element, or reports that
@@ -491,9 +408,9 @@ func reclaimPlan(v core.MultiView, cand Migration, clear float64) (*core.MultiPl
 
 // rescale pins the view's aggregate throughput to the detector's smoothed
 // measured delivered rate — the θcur selection must use (DESIGN.md §4) —
-// while preserving the backend's measured per-chain mix. With one chain
-// this reduces to overwriting its throughput with the smoothed value; with
-// several and no per-chain measurements yet, the total is split evenly.
+// while preserving the measured per-chain mix. With one chain this reduces
+// to overwriting its throughput with the smoothed value; with several and
+// no per-chain measurements yet, the total is split evenly.
 func rescale(loads []core.Load, smoothedTotal float64) {
 	if len(loads) == 0 {
 		return
@@ -518,9 +435,8 @@ func rescale(loads []core.Load, smoothedTotal float64) {
 // escalationFrom builds the structured scale-out report for a terminal
 // verdict err: the measured demand picture from the window that fired, with
 // the reason the selector reached it by. Exhausting the candidates
-// (core.ErrNoCandidate joined to the verdict) is the no-feasible-plan form,
-// the only one a model-driven backend can reach; otherwise the backend's
-// measured demand was past the threshold on both devices.
+// (core.ErrNoCandidate joined to the verdict) is the no-feasible-plan form;
+// otherwise the measured demand was past the threshold on both devices.
 func escalationFrom(now time.Duration, err error, s telemetry.Sample, throughput float64) core.Escalation {
 	reason := core.EscalateBothOverloaded
 	if errors.Is(err, core.ErrNoCandidate) {
@@ -541,10 +457,10 @@ func escalationFrom(now time.Duration, err error, s telemetry.Sample, throughput
 // loop's decision lock held, so it must not block and must not call back
 // into the loop — a fleet agent forwards the report to its coordinator's
 // queue and returns.
-func (l *loop) OnEscalation(fn func(core.Escalation)) {
-	l.mu.Lock()
-	l.escalate = fn
-	l.mu.Unlock()
+func (o *Live) OnEscalation(fn func(core.Escalation)) {
+	o.mu.Lock()
+	o.escalate = fn
+	o.mu.Unlock()
 }
 
 // Suspend takes the loop's decision lock and returns the release. While
@@ -552,70 +468,66 @@ func (l *loop) OnEscalation(fn func(core.Escalation)) {
 // tier keeps the local control plane's hands off the dataplane during an
 // externally-driven cross-server migration. Polls taken meanwhile block
 // until resume.
-func (l *loop) Suspend() (resume func()) {
-	l.decideMu.Lock()
-	return l.decideMu.Unlock
+func (o *Live) Suspend() (resume func()) {
+	o.decideMu.Lock()
+	return o.decideMu.Unlock
 }
 
 // NoteExternalMove records that the fleet tier moved a chain in or out of
-// this server's dataplane: the cooldown starts (the dataplane just changed
-// and must settle before the next local decision), the reclaim streaks
-// reset, and any reclaim candidates belonging to the moved chain are
-// dropped — their elements are no longer this server's to restore.
-func (l *loop) NoteExternalMove(now time.Duration, chainIdx int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.moved = true
-	l.lastMove = now
-	l.calm, l.armed = 0, 0
-	kept := l.pushed[:0]
-	for _, m := range l.pushed {
+// this server's dataplane, stamped with the runtime's clock: the cooldown
+// starts (the dataplane just changed and must settle before the next local
+// decision), the reclaim streaks reset, and any reclaim candidates
+// belonging to the moved chain are dropped — their elements are no longer
+// this server's to restore.
+func (o *Live) NoteExternalMove(chainIdx int) {
+	now := o.rt.Elapsed()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.moved = true
+	o.lastMove = now
+	o.calm, o.armed = 0, 0
+	kept := o.pushed[:0]
+	for _, m := range o.pushed {
 		if m.ChainIndex != chainIdx {
 			kept = append(kept, m)
 		}
 	}
-	l.pushed = kept
-	l.events = append(l.events, Event{At: now, Kind: EventExternal})
-}
-
-func (l *loop) appendEvent(e Event) {
-	l.mu.Lock()
-	l.events = append(l.events, e)
-	l.mu.Unlock()
+	o.pushed = kept
+	o.events = append(o.events, Event{At: now, Kind: EventExternal})
 }
 
 // Events returns a copy of the control-loop event log.
-func (l *loop) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.events...)
+func (o *Live) Events() []Event {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]Event(nil), o.events...)
 }
 
 // Migrations returns how many plans were executed.
-func (l *loop) Migrations() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.migrated
+func (o *Live) Migrations() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.migrated
 }
 
 // Reclaims returns how many reclaim moves were executed.
-func (l *loop) Reclaims() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reclaims
+func (o *Live) Reclaims() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.reclaims
 }
 
 // History returns a copy of every executed element move (push-asides and
 // reclaims) in execution order — the input to FindPingPongs.
-func (l *loop) History() []Migration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Migration(nil), l.history...)
+func (o *Live) History() []Migration {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]Migration(nil), o.history...)
 }
 
 // Detector exposes the loop's overload detector (reports inspect its
 // smoothed view; tests assert episode counts and re-arming).
-func (l *loop) Detector() *telemetry.Detector { return l.detector }
+func (o *Live) Detector() *telemetry.Detector { return o.detector }
 
 // Format renders the event as one log line, rounding timestamps to round
 // (0 keeps full precision). Every surface printing the event log — Describe,
@@ -641,9 +553,9 @@ func (e Event) Format(round time.Duration) string {
 }
 
 // Describe renders the event log for reports.
-func (l *loop) Describe() string {
+func (o *Live) Describe() string {
 	s := ""
-	for _, e := range l.Events() {
+	for _, e := range o.Events() {
 		s += e.Format(0) + "\n"
 	}
 	return s
